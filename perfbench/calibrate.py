@@ -2,7 +2,7 @@
 
 The benchmark host is shared: its speed for the same work drifts by up to
 1.6x over seconds to minutes as other tenants load it, so raw job times of
-one commit spread by 20-40% between runs.  The timed loop therefore runs
+one commit spread by 10-40% between runs.  The timed loop therefore runs
 this fixed pure-Python kernel (a longest-common-subsequence table, the same
 kind of interpreter work as the library) for about 1 ms after every 20 ms
 of jobs, and scales each job's CPU time by ``REFERENCE_S / local kernel
