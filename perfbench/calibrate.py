@@ -5,8 +5,8 @@ The benchmark host is shared: its speed for the same work drifts by up to
 one commit spread by 10-40% between runs.  The timed loop therefore runs
 this fixed pure-Python kernel (a longest-common-subsequence table, the same
 kind of interpreter work as the library) for about 1 ms after every 20 ms
-of jobs, and scales each job's CPU time by ``REFERENCE_S / local kernel
-CPU time``.  The scaled figures are reported in
+of jobs, and scales each job's wall time by ``REFERENCE_S / local kernel
+wall time``.  The scaled figures are reported in
 "reference milliseconds": the time the job would take on a host where the
 kernel takes ``REFERENCE_S``.
 """
@@ -27,8 +27,8 @@ _Y = [(i * 5 // 3) % 2 for i in range(40)]
 
 
 def kernel() -> float:
-    """Run the calibration kernel once and return its process CPU time."""
-    start = time.process_time()
+    """Run the calibration kernel once and return its wall time."""
+    start = time.perf_counter()
     for _ in range(5):
         prev = [0] * (len(_Y) + 1)
         for xi in _X:
@@ -40,7 +40,7 @@ def kernel() -> float:
                     best = cand
                 curr.append(best)
             prev = curr
-    return time.process_time() - start
+    return time.perf_counter() - start
 
 
 def scale_factors(kernel_times: List[float], job_marks: List[int]) -> List[float]:

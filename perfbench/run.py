@@ -74,7 +74,6 @@ class Pass:
         self.jobs: List[tuple] = []
         self.classes: List[tuple] = []
         self.latencies: List[float] = []
-        self.cpu_times: List[float] = []
         self.outputs: List[str] = []
         self.failures: List[str] = []
         self.failed_jobs: List[int] = []
@@ -92,7 +91,7 @@ class Pass:
 def run_job(bench, job, result: Pass, tracer=None) -> None:
     job_id = len(result.jobs) + 1
     error = raw = None
-    start, cpu_start = time.perf_counter(), time.process_time()
+    start = time.perf_counter()
     if tracer is not None:
         tracer.begin_job(job_id)
     try:
@@ -103,7 +102,6 @@ def run_job(bench, job, result: Pass, tracer=None) -> None:
         if tracer is not None:
             tracer.end_job()
     result.latencies.append(time.perf_counter() - start)
-    result.cpu_times.append(time.process_time() - cpu_start)
     result.jobs.append(job)
     if error is None:
         try:
@@ -159,20 +157,13 @@ def probe_setup(workload: str, seed: int) -> float:
 def end_to_end(result: Pass, setup_times: List[float]) -> Dict[str, Tuple[float, str]]:
     """End-to-end metrics from job times scaled to the reference host speed.
 
-    A job's time is the process CPU time it took: the loop is one thread,
-    so that is its wall time less the spells in which the host ran someone
-    else (cpu/wall fell to 0.87 in some runs).  After scaling, single job times still scatter by about 12% (one
-    standard deviation) around their class's typical time, enough to move
-    an order statistic taken between two job classes by 10%.  Each job
-    therefore counts with the median scaled time of its class over the run
-    (every class recurs in every deck) before rate and percentiles are taken.
+    A job's time is its wall time, so work in child processes or threads,
+    sleeps and blocking I/O all count.  Each job's time is scaled by the
+    calibration factor around it; the rate and the percentiles are taken
+    over the scaled times of every single job.
     """
     factors = calibrate.scale_factors(result.kernel_times, result.kernel_marks)
-    by_class: Dict[tuple, List[float]] = {}
-    for cls, t, f in zip(result.classes, result.cpu_times, factors):
-        by_class.setdefault(cls, []).append(t * f * 1e3)
-    typical = {cls: statistics.median(times) for cls, times in by_class.items()}
-    ms = [typical[cls] for cls in result.classes]
+    ms = [t * f * 1e3 for t, f in zip(result.latencies, factors)]
     attempted = len(ms)
     ok = attempted - len(result.failed_jobs)
     return {

@@ -146,9 +146,8 @@ def _observers(lib) -> Dict[str, Callable]:
 class Tracer:
     """Records spans for the library calls made while a job is running."""
 
-    def __init__(self, lib, clock: Callable[[], float] = time.perf_counter):
+    def __init__(self, lib):
         self.lib = lib
-        self.clock = clock
         # span: (id, name, start, end, parent id, job id); id 0 is "no parent"
         self.spans: List[Tuple[int, str, float, float, int, int]] = []
         # (parent span id, name) -> [calls, busy seconds]
@@ -189,7 +188,7 @@ class Tracer:
         self.counters[key] = self.counters.get(key, 0) + amount
 
     def _span_wrapper(self, fn, name, observer):
-        stack, active, clock = self._stack, self._active, self.clock
+        stack, active, clock = self._stack, self._active, time.perf_counter
 
         def traced(*args, **kwargs):
             if not stack:
@@ -224,7 +223,7 @@ class Tracer:
         return traced
 
     def _rollup_wrapper(self, fn, name):
-        stack, rollups, clock = self._stack, self.rollups, self.clock
+        stack, rollups, clock = self._stack, self.rollups, time.perf_counter
         calls_key = name + ".calls"
 
         def traced(*args, **kwargs):
@@ -254,10 +253,10 @@ class Tracer:
         self._job = job_id
         self._stack.append((self._next_id, "job"))
         self._next_id += 1
-        self._job_start = self.clock()
+        self._job_start = time.perf_counter()
 
     def end_job(self) -> None:
-        end = self.clock()
+        end = time.perf_counter()
         sid, _ = self._stack.pop()
         self.spans.append((sid, "job", self._job_start, end, 0, self._job))
 

@@ -5,12 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
+import calibrate  # noqa: E402
 import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
@@ -80,6 +82,52 @@ def test_wrong_alpha_is_counted(lib, tmp_path, monkeypatch):
     monkeypatch.setattr(lib.graph, "exact_mis", lambda g, *a: set(sorted(exact_mis(g))[1:]))
     result = run.run_pass(bench, [[(0, ("full", 1, 6, None)), (1, ("layer", 2, 7, 3))]])
     assert len(result.failures) == 2
+
+
+class WaitingBench:
+    """Jobs that wait in a sleep or in a child process, using no CPU here."""
+
+    def execute(self, job):
+        kind, seconds = job
+        if kind == "sleep":
+            time.sleep(seconds)
+        else:
+            subprocess.run([sys.executable, "-c", f"import time; time.sleep({seconds})"],
+                           check=True)
+        return seconds
+
+    def check(self, job, raw):
+        return str(raw)
+
+
+def test_sleeps_and_child_processes_count_as_job_time():
+    jobs = [(0, ("sleep", 0.05)), (1, ("child", 0.05))]
+    result = run.run_pass(WaitingBench(), [jobs])
+    assert result.failures == []
+    assert all(t >= 0.05 for t in result.latencies)
+    factors = calibrate.scale_factors(result.kernel_times, result.kernel_marks)
+    metrics = run.end_to_end(result, [1.0])
+    assert metrics["job_ms.p50"][0] >= 50 * min(factors)
+    assert metrics["jobs_per_s"][0] <= 2 / (0.1 * min(factors))
+
+
+def fixed_speed_pass(latencies):
+    """A pass of jobs whose calibration factor is exactly 1."""
+    result = run.Pass()
+    result.latencies = list(latencies)
+    result.jobs = [("job", i) for i in range(len(latencies))]
+    result.kernel_times = [calibrate.REFERENCE_S]
+    result.kernel_marks = [1] * len(latencies)
+    return result
+
+
+def test_slowdown_of_a_minority_of_a_class_shows():
+    base = run.end_to_end(fixed_speed_pass([0.01] * 9), [1.0])
+    slowed = run.end_to_end(fixed_speed_pass([0.01] * 6 + [0.03] * 3), [1.0])
+    assert base["jobs_per_s"][0] == pytest.approx(100)
+    assert slowed["jobs_per_s"][0] == pytest.approx(9 / 0.15)
+    assert slowed["job_ms.p90"][0] == pytest.approx(30)
+    assert base["job_ms.p90"][0] == pytest.approx(10)
 
 
 def test_refuses_to_run_without_the_library(tmp_path):
