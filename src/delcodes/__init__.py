@@ -56,6 +56,7 @@ from .codes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
     constant_weight_guarantee_asymptotic,
+    find_conflict,
     greedy_layer_solver,
     layer_code,
     layer_color_solver,

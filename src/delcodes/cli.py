@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Verbs: construct, verify, graph, alpha, bounds, witness, selftest.
-Exit codes: 0 success / valid, 1 failed verification or unmet bound,
-2 usage or capacity error.  All reports are plain key=value text lines.
+Exit codes: 0 success / valid, 1 failed verification, unmet bound or
+exhausted solver budget, 2 usage or capacity error.  All reports are
+plain key=value text lines.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .bitstring import BitString, delete_all, insert_all, weight
 from .codes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
+    find_conflict,
     greedy_layer_solver,
     layer_code,
     layer_color_solver,
@@ -81,12 +83,17 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     code = read_code_file(args.file)
-    ok = verify_code(code)
+    conflict = find_conflict(code)
     print(f"n={code.n}")
     print(f"s={code.s}")
     print(f"size={len(code.words)}")
-    print(f"valid={'true' if ok else 'false'}")
-    return 0 if ok else 1
+    print(f"valid={'true' if conflict is None else 'false'}")
+    if conflict is None:
+        return 0
+    x, y, z = conflict
+    print(f"conflict={x},{y}")
+    print(f"shared={z}")
+    return 1
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -301,6 +308,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

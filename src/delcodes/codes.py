@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .bitstring import BitString, deletion_distance, weight
+from .bitstring import BitString, _delete_values, weight
 from .counting import insertion_count
 from .graph import (
     CliqueWitness,
@@ -37,6 +37,10 @@ class Code:
     s: int
     words: Tuple[BitString, ...]
     provenance: str
+
+    def __post_init__(self) -> None:
+        if self.n < 0 or self.s < 0:
+            raise ValueError(f"require n >= 0 and s >= 0, got n={self.n}, s={self.s}")
 
 
 def make_code(n: int, s: int, words: Iterable[BitString], provenance: str) -> Code:
@@ -156,29 +160,42 @@ def weight_partition_size_bound(n: int, a: int) -> Fraction:
     return Fraction(2**n - math.comb(n, _k_star(n, a)), n + 1)
 
 
-def verify_code(c: Code) -> bool:
-    """True iff every pair of codewords has deletion distance greater than 2s.
+def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
+    """The first confusable pair of codewords and a subsequence they share.
 
-    Pairwise distance computation, pruned by the weight gap: words whose
-    weights differ by more than s are already at distance above 2s.
+    Returns None for a valid code, else ``(x, y, z)``.  Two words are
+    confusable exactly when their deletion balls (their distinct
+    length-(n-s) subsequences) meet, so the words are scanned in their
+    sorted order against the union of the earlier balls.  ``y`` is the
+    first word whose ball meets an earlier one, ``x`` the earliest word
+    it meets and ``z`` the smallest shared subsequence.  For s > n every
+    pair is confusable through the empty word.
     """
-    by_weight: Dict[int, List[BitString]] = {}
-    for w in c.words:
-        by_weight.setdefault(weight(w), []).append(w)
-    weights = sorted(by_weight)
-    for k in weights:
-        bucket = by_weight[k]
-        others: List[BitString] = []
-        for k2 in range(k + 1, k + c.s + 1):
-            others.extend(by_weight.get(k2, ()))
-        for i, x in enumerate(bucket):
-            for y in bucket[i + 1:]:
-                if deletion_distance(x, y) <= 2 * c.s:
-                    return False
-            for y in others:
-                if deletion_distance(x, y) <= 2 * c.s:
-                    return False
-    return True
+    n, s, words = c.n, c.s, c.words
+    if s > n:
+        if len(words) < 2:
+            return None
+        return words[0], words[1], BitString()
+    seen: Set[int] = set()
+    for j, y in enumerate(words):
+        ball = _delete_values(y.value, n, s)
+        if not seen.isdisjoint(ball):
+            # The witness is found only now, so a valid code costs one scan.
+            for x in words[:j]:
+                shared = ball & _delete_values(x.value, n, s)
+                if shared:
+                    return x, y, BitString.from_value(min(shared), n - s)
+        seen.update(ball)
+    return None
+
+
+def verify_code(c: Code) -> bool:
+    """True iff no two codewords share a length-(n-s) subsequence.
+
+    Equivalently, every pair has deletion distance greater than 2s.  See
+    :func:`find_conflict` for the pair that fails.
+    """
+    return find_conflict(c) is None
 
 
 LayerColoringProvider = Callable[[int, int, int], Tuple[Dict[BitString, int], int]]
@@ -348,16 +365,22 @@ def read_code_file(path: str) -> Code:
         raise ValueError(f"{path}: missing '{FILE_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("# "):
         raise ValueError(f"{path}: missing parameter header line")
-    fields = dict(part.split("=", 1) for part in lines[1][2:].split())
     try:
+        fields = dict(part.split("=", 1) for part in lines[1][2:].split())
         n = int(fields["n"])
         s = int(fields["s"])
         kind = fields["kind"]
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed parameter header") from exc
-    words = []
+    first_line: Dict[str, int] = {}
     for lineno, line in enumerate(lines[2:], start=3):
         if len(line) != n or set(line) - {"0", "1"}:
             raise ValueError(f"{path}:{lineno}: invalid codeword line {line!r}")
-        words.append(BitString(line))
-    return make_code(n, s, words, kind)
+        if line in first_line:
+            raise ValueError(f"{path}:{lineno}: duplicate codeword {line!r} "
+                             f"(first on line {first_line[line]})")
+        first_line[line] = lineno
+    try:
+        return make_code(n, s, [BitString(line) for line in first_line], kind)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -1,8 +1,14 @@
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 
 from delcodes import build_graph
+
+# Fixed example sequences make property-test failures reproducible, and no
+# deadline keeps them from flaking on a host whose speed drifts.
+settings.register_profile("delcodes", derandomize=True, deadline=None)
+settings.load_profile("delcodes")
 
 
 @lru_cache(maxsize=None)

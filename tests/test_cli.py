@@ -76,6 +76,15 @@ class TestConstruct:
         assert rc == 2
         assert "residue" in err
 
+    def test_budget_exhaustion_exits_1(self, capsys, tmp_path):
+        rc, _, err = run(
+            capsys, "construct", "--kind", "weight-partition", "--n", "9",
+            "--s", "2", "--residue", "1", "--solver", "exact", "--budget", "1",
+            "--out", str(tmp_path / "c.txt"),
+        )
+        assert rc == 1
+        assert err.startswith("error:") and "budget" in err
+
     def test_capacity_guardrail(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "construct", "--kind", "vt", "--n", "21", "--residue", "0",
@@ -91,7 +100,23 @@ class TestVerify:
         write_code_file(make_code(4, 1, [B("0101"), B("0110")], "search"), path)
         rc, out, _ = run(capsys, "verify", "--file", path)
         assert rc == 1
-        assert parse_report(out)["valid"] == "false"
+        fields = parse_report(out)
+        assert fields["valid"] == "false"
+        assert fields["conflict"] == "0101,0110"
+        assert fields["shared"] == "010"
+
+    @pytest.mark.parametrize("body, message", [
+        ("# n=4 s=-1 kind=x\n0101\n", "s >= 0"),
+        ("# n=4 s=1 kind\n0101\n", "malformed parameter header"),
+        ("# n=4 s=1 kind=x\n0101\n0101\n", "bad.txt:4: duplicate codeword"),
+    ], ids=["negative-s", "field-without-value", "duplicate-codeword"])
+    def test_malformed_file_exits_2(self, capsys, tmp_path, body, message):
+        path = tmp_path / "bad.txt"
+        path.write_text("# delcode v1\n" + body)
+        rc, out, err = run(capsys, "verify", "--file", str(path))
+        assert rc == 2
+        assert err.startswith("error:") and message in err
+        assert "valid=" not in out
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "verify", "--file", str(tmp_path / "absent.txt"))

@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delcodes import (
     BitString,
@@ -12,7 +13,9 @@ from delcodes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
     constant_weight_guarantee_asymptotic,
+    delete_all,
     deletion_distance,
+    find_conflict,
     greedy_layer_solver,
     greedy_mis,
     insertion_count,
@@ -140,34 +143,65 @@ class TestWeightPartitionCode:
             weight_partition_size_bound(6, 2)
 
 
+@st.composite
+def small_codes(draw):
+    # Random words thinned to a code by the pairwise reference, plus a few
+    # arbitrary words, so that both verdicts are drawn for every s.
+    n = draw(st.integers(0, 10))
+    s = draw(st.integers(0, n + 2))
+    word = st.integers(0, (1 << n) - 1).map(lambda v: B.from_value(v, n))
+    words = []
+    for w in draw(st.lists(word, max_size=10)):
+        if all(deletion_distance(w, x) > 2 * s for x in words):
+            words.append(w)
+    words += draw(st.lists(word, max_size=2))
+    return make_code(n, s, words, "search")
+
+
 class TestVerifyCode:
     def test_rejects_confusable_pair(self):
         code = make_code(4, 1, [B("0101"), B("0110")], "search")
         assert not verify_code(code)
+        assert find_conflict(code) == (B("0101"), B("0110"), B("010"))
+        # 101 meets both earlier words; the earliest one is named
+        code = make_code(3, 1, [B("011"), B("100"), B("101")], "search")
+        assert find_conflict(code) == (B("011"), B("101"), B("01"))
 
     def test_singleton(self):
         assert verify_code(make_code(5, 2, [B("01010")], "search"))
 
-    def test_matches_brute_force(self):
-        # pruned verification agrees with the plain all-pairs check
-        import itertools
-        import random
+    def test_more_deletions_than_symbols(self):
+        # every pair is confusable once all symbols can be deleted
+        assert verify_code(make_code(2, 5, [B("00")], "search"))
+        code = make_code(2, 5, [B("00"), B("11")], "search")
+        assert find_conflict(code) == (B("00"), B("11"), B(""))
 
-        rng = random.Random(23)
-        for _ in range(50):
-            n = rng.randrange(2, 8)
-            s = rng.randrange(1, 3)
-            words = {B.from_value(rng.randrange(1 << n), n) for _ in range(6)}
-            code = make_code(n, s, words, "search")
-            expected = all(
-                deletion_distance(x, y) > 2 * s
-                for x, y in itertools.combinations(code.words, 2)
-            )
-            assert verify_code(code) == expected
+    @given(small_codes())
+    def test_matches_brute_force(self, code):
+        # the ball scan agrees with the plain all-pairs distance check, and
+        # names the pair with the earliest later word, then earliest earlier
+        s, words = code.s, code.words
+        confusable = [
+            (x, y) for j, y in enumerate(words) for x in words[:j]
+            if deletion_distance(x, y) <= 2 * s
+        ]
+        conflict = find_conflict(code)
+        assert verify_code(code) == (conflict is None) == (not confusable)
+        if conflict is not None:
+            x, y, z = conflict
+            assert (x, y) == confusable[0]
+            m = min(s, code.n)
+            assert z == min(delete_all(x, m) & delete_all(y, m))
 
     def test_make_code_length_check(self):
         with pytest.raises(ValueError):
             make_code(4, 1, [B("01")], "search")
+
+    def test_make_code_rejects_negative_parameters(self):
+        with pytest.raises(ValueError):
+            make_code(4, -1, [B("0101")], "search")
+        with pytest.raises(ValueError):
+            make_code(-1, 1, [], "search")
 
 
 class TestTwoStageColoring:
