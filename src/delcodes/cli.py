@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import List, Optional
 
@@ -144,8 +145,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"chromatic_lower_bound={chromatic_lower_bound(s, n)}")
     if s == 1 and n <= MAX_CONSTRUCT_N:
         # No residue is known to win in general, so report every class size.
+        sizes = Counter(codes_mod.vt_weight(BitString.from_value(v, n)) for v in range(1 << n))
         for a in range(n + 1):
-            print(f"vt_size_a{a}={len(vt_code(n, a).words)}")
+            print(f"vt_size_a{a}={sizes[a]}")
     return 0
 
 

@@ -297,17 +297,10 @@ def chromatic_certificate(n: int, k: Optional[int] = None
     return coloring, clique, chi
 
 
-def chromatic_lower_bound(s: int, n: int) -> int:
-    """Largest clique size available from the explicit constructions.
-
-    Considers the supersequence clique of size I(s, n) and every feasible
-    segment clique whose members have length n with b + c = s.
-    """
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if s > n:
-        return 2**n  # complete graph
-    best = insertion_count(s, n)
+def _best_segment_params(s: int, n: int) -> Optional[Tuple[int, int, int, int, int]]:
+    """``(size, l, k, b, c)`` of the largest feasible segment clique with
+    members of length n and b + c = s (the first found on a tie), or None."""
+    best: Optional[Tuple[int, int, int, int, int]] = None
     for b in range(s + 1):
         c = s - b
         total = n + 3 - b + c  # k (l + 3)
@@ -318,25 +311,28 @@ def chromatic_lower_bound(s: int, n: int) -> int:
             if l < 4:
                 continue
             size = (math.comb(k, b) * math.comb(k - b, c)) * l**b * (l - 2) ** c
-            best = max(best, size)
+            if best is None or size > best[0]:
+                best = (size, l, k, b, c)
     return best
+
+
+def chromatic_lower_bound(s: int, n: int) -> int:
+    """Largest clique size available from the explicit constructions.
+
+    Considers the supersequence clique of size I(s, n) and every feasible
+    segment clique whose members have length n with b + c = s.
+    """
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    if s > n:
+        return 2**n  # complete graph
+    best = _best_segment_params(s, n)
+    return max(insertion_count(s, n), 0 if best is None else best[0])
 
 
 def best_segment_clique(s: int, n: int) -> Optional[CliqueWitness]:
     """The largest feasible segment clique with members of length n, if any."""
-    best: Optional[Tuple[int, int, int, int, int]] = None
-    for b in range(s + 1):
-        c = s - b
-        total = n + 3 - b + c
-        for k in range(max(1, s), total // 7 + 1):
-            if total % k:
-                continue
-            l = total // k - 3
-            if l < 4:
-                continue
-            size = (math.comb(k, b) * math.comb(k - b, c)) * l**b * (l - 2) ** c
-            if best is None or size > best[0]:
-                best = (size, l, k, b, c)
+    best = _best_segment_params(s, n)
     if best is None:
         return None
     _, l, k, b, c = best

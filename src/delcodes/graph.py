@@ -6,9 +6,10 @@ words; two words are adjacent when their deletion distance is at most 2s,
 equivalently when they share a common length-(n-s) subsequence.  A layer
 restricts the vertex set to a single Hamming weight.
 
-Edges are generated by expanding, for every length-(n-s) word z, the
-clique formed by the supersequences of z; this is equivalent to the
-pairwise-distance definition and much cheaper.  The equivalence itself is
+Edges come from the deletion balls of the vertices: the vertices whose
+balls contain one length-(n-s) word z form a clique, and every edge lies
+in such a clique.  The same cliques are the constraint rows of the exact
+solver.  The equivalence with the pairwise-distance definition is
 exercised by the test suite.
 """
 
@@ -18,12 +19,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .bitstring import (
     BitString,
     MAX_LENGTH,
-    _insert_values,
+    _delete_values,
     insert_all,
     weight,
 )
@@ -101,6 +102,20 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _supersequence_cliques(values: Sequence[int], n: int, s: int) -> List[List[int]]:
+    """Index lists of the given n-symbol words that share a length-(n-s) subsequence.
+
+    One list per shared subsequence z: the words whose deletion balls
+    contain z, a clique of two or more.  Every confusable pair of the
+    words lies in at least one list.
+    """
+    groups: Dict[int, List[int]] = {}
+    for i, v in enumerate(values):
+        for z in _delete_values(v, n, s):
+            groups.setdefault(z, []).append(i)
+    return [idxs for idxs in groups.values() if len(idxs) > 1]
+
+
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
     """Build the deletion-distance graph for (s, n), optionally one weight layer."""
     if not 0 <= s <= n:
@@ -109,7 +124,6 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
         if n > MAX_FULL_N:
             raise CapacityError(f"full graph limited to n <= {MAX_FULL_N}, got n={n}")
         vert_values = list(range(1 << n))
-        index = {v: v for v in vert_values}
     else:
         if not 0 <= layer <= n:
             raise ValueError(f"layer weight {layer} out of range 0..{n}")
@@ -119,22 +133,9 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
             sum(1 << (n - 1 - i) for i in pos)
             for pos in itertools.combinations(range(n), layer)
         )
-        index = {v: i for i, v in enumerate(vert_values)}
 
     adj = [0] * len(vert_values)
-    m = n - s
-    for zv in range(1 << m):
-        if layer is not None:
-            zw = zv.bit_count()
-            if not layer - s <= zw <= layer:
-                continue
-        members = _insert_values(zv, m, s)
-        if layer is not None:
-            idxs = [index[v] for v in members if v.bit_count() == layer]
-        else:
-            idxs = list(members)
-        if len(idxs) < 2:
-            continue
+    for idxs in _supersequence_cliques(vert_values, n, s):
         mask = 0
         for i in idxs:
             mask |= 1 << i
@@ -220,52 +221,49 @@ def exact_mis(g: ConfusabilityGraph,
     """Maximum independent set by branch and bound.
 
     The search is delegated to the HiGHS branch-and-bound engine through
-    scipy (one binary variable per vertex, one constraint per edge, zero
-    optimality gap), which subsumes the greedy-lower-bound / cover-upper-
-    bound scheme while staying deterministic.  If the search tree exceeds
-    ``node_budget`` nodes, :class:`BudgetExceededError` is raised carrying
+    scipy (one binary variable per vertex, zero optimality gap).  Each
+    supersequence clique is one constraint: at most one vertex whose
+    deletion ball holds a given length-(n-s) word.  The cliques come from
+    ``g.params``, so ``g`` must come from :func:`build_graph`; the result
+    is checked against ``g.adjacency`` and :class:`RuntimeError` is raised
+    if it is not independent.  If the search tree exceeds ``node_budget``
+    (nonnegative) nodes, :class:`BudgetExceededError` is raised carrying
     the best set found so far (the greedy set if the engine has none).
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     import numpy as np
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    adj = g.adjacency
-    nverts = len(adj)
-    if nverts == 0:
-        return set()
-
-    rows: List[int] = []
-    cols: List[int] = []
-    nedges = 0
-    for i in range(nverts):
-        for j in _iter_bits(adj[i]):
-            if j > i:
-                rows.extend((nedges, nedges))
-                cols.extend((i, j))
-                nedges += 1
-    if nedges == 0:
-        return set(g.vertices)
-
-    matrix = sparse.csc_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(nedges, nverts)
-    )
-    result = milp(
-        c=-np.ones(nverts),
-        constraints=LinearConstraint(matrix, -np.inf, 1),
-        integrality=np.ones(nverts),
-        bounds=Bounds(0, 1),
-        options={"node_limit": node_budget, "mip_rel_gap": 0.0},
-    )
-    if result.x is not None:
-        found = {g.vertices[i] for i in range(nverts) if result.x[i] > 0.5}
-    else:
+    cliques = _supersequence_cliques([v.value for v in g.vertices], g.params.n, g.params.s)
+    found, exhausted = set(g.vertices), False
+    if cliques:
+        rows = [r for r, idxs in enumerate(cliques) for _ in idxs]
+        cols = [i for idxs in cliques for i in idxs]
+        matrix = sparse.csc_matrix(
+            (np.ones(len(rows)), (rows, cols)), shape=(len(cliques), len(g))
+        )
+        result = milp(
+            c=-np.ones(len(g)),
+            constraints=LinearConstraint(matrix, -np.inf, 1),
+            integrality=np.ones(len(g)),
+            bounds=Bounds(0, 1),
+            options={"node_limit": node_budget, "mip_rel_gap": 0.0},
+        )
         found = set()
-    if result.status != 0:
-        incumbent = found if len(found) else greedy_mis(g)
+        if result.x is not None:
+            found = {v for v, x in zip(g.vertices, result.x) if x > 0.5}
+        exhausted = result.status != 0
+        if exhausted and not found:
+            found = greedy_mis(g)
+    if not verify_independent(g, found):
+        raise RuntimeError("solver returned a dependent set; the graph does not "
+                           f"match its parameters {g.params}")
+    if exhausted:
         raise BudgetExceededError(
-            f"node budget {node_budget} exhausted; incumbent has {len(incumbent)} vertices",
-            incumbent,
+            f"node budget {node_budget} exhausted; incumbent has {len(found)} vertices",
+            found,
         )
     return found
 

@@ -85,6 +85,18 @@ class TestConstruct:
         assert rc == 1
         assert err.startswith("error:") and "budget" in err
 
+    def test_negative_budget_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        rc, _, err = run(
+            capsys, "construct", "--kind", "weight-partition", "--n", "6",
+            "--s", "1", "--residue", "0", "--solver", "exact", "--budget", "-1",
+            "--out", str(path),
+        )
+        assert rc == 2
+        assert err.startswith("error:") and "budget" in err
+        assert "Traceback" not in err
+        assert not path.exists()
+
     def test_capacity_guardrail(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "construct", "--kind", "vt", "--n", "21", "--residue", "0",
@@ -176,6 +188,13 @@ class TestAlpha:
         assert fields["optimal"] == "false"
         assert int(fields["size"]) >= 1
 
+    def test_negative_budget_is_usage_error(self, capsys):
+        rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "4", "--budget", "-1")
+        assert rc == 2
+        assert err.startswith("error:") and "budget" in err
+        assert "Traceback" not in err
+        assert "optimal" not in out
+
     def test_layer_restriction(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "6", "--k", "3")
         assert rc == 0
@@ -195,6 +214,15 @@ class TestBounds:
         # one class size per residue, summing to 2^8
         sizes = [int(fields[f"vt_size_a{a}"]) for a in range(9)]
         assert sum(sizes) == 256
+
+    def test_vt_class_sizes_match_vt_codes(self, capsys):
+        for n in range(1, 11):
+            rc, out, _ = run(capsys, "bounds", "--n", str(n), "--s", "1")
+            assert rc == 0
+            fields = parse_report(out)
+            assert [int(fields[f"vt_size_a{a}"]) for a in range(n + 1)] == [
+                len(vt_code(n, a).words) for a in range(n + 1)
+            ]
 
     def test_two_deletion_report(self, capsys):
         rc, out, _ = run(capsys, "bounds", "--n", "10", "--s", "2")

@@ -347,6 +347,12 @@ class TestChromaticLowerBound:
         assert w is not None
         assert all(len(v) == 24 for v in w.vertices)
 
+    def test_best_segment_clique_tie_goes_to_first_found(self):
+        # (l, k, b, c) = (6, 1, 0, 1) and (4, 1, 1, 0) both give 4 members
+        w = best_segment_clique(1, 5)
+        assert w.params == {"l": 6, "k": 1, "b": 0, "c": 1}
+        assert chromatic_lower_bound(1, 5) == 6
+
 
 class TestCodeFiles:
     def test_round_trip(self, tmp_path):

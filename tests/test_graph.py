@@ -1,13 +1,17 @@
 """Tests for graph construction, degree bounds, independent sets, and witnesses."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delcodes import (
     BitString,
     BudgetExceededError,
     CapacityError,
+    ConfusabilityGraph,
+    GraphParams,
     build_graph,
     confusable_set,
     degree_stats,
@@ -98,6 +102,25 @@ class TestBuildGraph:
                     d = deletion_distance(words[i], words[j])
                     for s, g in graphs:
                         assert g.has_edge(words[i], words[j]) == (d <= 2 * s)
+
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.integers(0, n), st.just(n), st.none() | st.integers(0, n))))
+    def test_matches_shared_subsequences(self, params):
+        # plain-string reference: the words of the right length and weight,
+        # adjacent iff their length-(n-s) subsequence sets intersect
+        s, n, layer = params
+        g = G(s, n, layer)
+        words = ["".join(p) for p in itertools.product("01", repeat=n)
+                 if layer is None or p.count("1") == layer]
+        assert [str(v) for v in g.vertices] == words
+        balls = [
+            {"".join(w[i] for i in pos) for pos in itertools.combinations(range(n), n - s)}
+            for w in words
+        ]
+        for i, ball in enumerate(balls):
+            expected = sum(1 << j for j, other in enumerate(balls)
+                           if j != i and not ball.isdisjoint(other))
+            assert g.adjacency[i] == expected
 
     def test_layer_edges_induced_from_full_graph(self):
         for n in (4, 6):
@@ -223,7 +246,8 @@ class TestExactMis:
         assert verify_independent(g, out)
 
     def test_matches_brute_force(self):
-        for s, n, k in [(1, 4, None), (1, 5, None), (2, 5, None), (1, 6, 3), (2, 6, 3)]:
+        for s, n, k in [(1, 4, None), (1, 5, None), (2, 5, None), (1, 6, 3), (2, 6, 3),
+                        (3, 7, 3), (0, 4, None), (3, 3, None)]:
             g = G(s, n, k)
             out = exact_mis(g)
             assert verify_independent(g, out)
@@ -231,10 +255,23 @@ class TestExactMis:
 
     def test_budget_exhaustion_carries_incumbent(self):
         g = G(1, 8)
-        with pytest.raises(BudgetExceededError) as info:
-            exact_mis(g, node_budget=1)
-        assert verify_independent(g, info.value.best)
-        assert len(info.value.best) >= 1
+        for budget in (0, 1):
+            with pytest.raises(BudgetExceededError) as info:
+                exact_mis(g, node_budget=budget)
+            assert verify_independent(g, info.value.best)
+            assert len(info.value.best) >= 1
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            exact_mis(G(1, 4), node_budget=-1)
+
+    def test_graph_not_matching_its_parameters_rejected(self):
+        # the constraints come from the parameters (s = 1), the check from
+        # the denser s = 2 adjacency, so the solver's set fails the check
+        dense = G(2, 4)
+        g = ConfusabilityGraph(GraphParams(1, 4), dense.vertices, dense.adjacency)
+        with pytest.raises(RuntimeError, match="dependent"):
+            exact_mis(g)
 
     def test_deterministic(self):
         g = G(1, 6)
