@@ -8,7 +8,7 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Set, Union
+from typing import Iterable, Iterator, Optional, Sequence, Set, Union
 
 MAX_LENGTH = 63
 
@@ -138,6 +138,13 @@ def weight(x: BitString) -> int:
 
 
 # -- packed-integer helpers (index 0 maps to the most significant bit) --
+
+
+def _word_values(n: int, k: Optional[int] = None) -> Sequence[int]:
+    """Packed values of all n-symbol words, or of the weight-k ones, ascending."""
+    if k is None:
+        return range(1 << n)
+    return [v for v in range(1 << n) if v.bit_count() == k]
 
 
 def _delete_value(v: int, n: int, i: int) -> int:

@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Verbs: construct, verify, graph, alpha, bounds, witness, selftest.
-Exit codes: 0 success / valid, 1 failed verification, unmet bound or
-exhausted solver budget, 2 usage or capacity error.  All reports are
-plain key=value text lines.
+Exit codes: 0 success / valid, 1 failed verification, unmet bound,
+exhausted solver budget or solver failure, 2 usage or capacity error.
+All reports are plain key=value text lines.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import codes as codes_mod
 from . import counting, graph as graph_mod
-from .bitstring import BitString, delete_all, insert_all, weight
+from .bitstring import BitString, _word_values, delete_all, insert_all
 from .codes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
@@ -112,25 +112,23 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
     g = build_graph(args.s, args.n, args.k)
-    optimal = True
+    exhausted = False
     if args.method == "greedy":
         result = greedy_mis(g)
-        optimal = False
     else:
         try:
             result = exact_mis(g, args.budget)
         except BudgetExceededError as exc:
             result = exc.best
-            optimal = False
-            print(f"budget_exhausted=true")
+            exhausted = True
+            print("budget_exhausted=true")
+    optimal = args.method == "exact" and not exhausted
     print(f"method={args.method}")
     print(f"size={len(result)}")
-    print(f"optimal={'true' if optimal and args.method == 'exact' else 'false'}")
+    print(f"optimal={'true' if optimal else 'false'}")
     for v in sorted(result):
         print(v)
-    if args.method == "exact" and not optimal:
-        return 1
-    return 0
+    return 1 if exhausted else 0
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -145,7 +143,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"chromatic_lower_bound={chromatic_lower_bound(s, n)}")
     if s == 1 and n <= MAX_CONSTRUCT_N:
         # No residue is known to win in general, so report every class size.
-        sizes = Counter(codes_mod.vt_weight(BitString.from_value(v, n)) for v in range(1 << n))
+        sizes = Counter(codes_mod._vt_color(v, n) for v in _word_values(n))
         for a in range(n + 1):
             print(f"vt_size_a{a}={sizes[a]}")
     return 0
@@ -172,6 +170,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         vertices = induced_cycle(args.s, args.cycle_len)
         print(f"# kind=cycle s={args.s} n={len(vertices[0])}")
     else:  # imperfect
+        if args.n is None:
+            raise ValueError("--kind imperfect requires --n")
         vertices = imperfectness_witness(args.s, args.n)
         print(f"# kind=imperfect s={args.s} n={args.n}")
     for v in vertices:
@@ -310,7 +310,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except RuntimeError as exc:  # exhausted budget or a failed solve
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, CapacityError, OSError) as exc:

@@ -1,22 +1,24 @@
 """Code constructions, verification, colorings, and finite-n bound calculators.
 
-The single-deletion constructions are explicit: the classic weight-sum
-residue codes, their per-layer refinement with a reduced modulus, and the
-union-over-weights construction that stitches per-layer independent sets
-into a code for any number of deletions.
+The single-deletion codes are color classes of the weighted-sum coloring
+(the sum of the 1-based positions of the one symbols) mod n+1 on L(1, n),
+or mod max(k, n-k)+1 on weight layer k: a residue code is one class, a
+layer code the largest class of its layer, and the chromatic certificates
+and two-stage colorings are these colorings.  The union-over-weights
+construction stitches per-layer independent sets into a code for any s.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .bitstring import BitString, _delete_values, weight
+from .bitstring import BitString, _delete_values, _word_values, weight
 from .counting import insertion_count
 from .graph import (
+    DEFAULT_NODE_BUDGET,
     CliqueWitness,
     build_graph,
     exact_mis,
@@ -62,33 +64,38 @@ class Coloring:
     num_colors: int
 
 
-def _all_words(n: int) -> Iterable[BitString]:
-    for v in range(1 << n):
-        yield BitString.from_value(v, n)
+def _vt_modulus(n: int, k: Optional[int] = None) -> int:
+    """Colors of the weighted-sum coloring of L(1, n), or of its layer k."""
+    return n + 1 if k is None else max(k, n - k) + 1
 
 
-def _layer_words(n: int, k: int) -> Iterable[BitString]:
-    for pos in itertools.combinations(range(n), k):
-        yield BitString.from_value(sum(1 << (n - 1 - i) for i in pos), n)
+def _vt_color(v: int, n: int, k: Optional[int] = None) -> int:
+    """Sum of the 1-based positions of the ones of packed word v, mod _vt_modulus."""
+    return sum(n - j for j in range(n) if v >> j & 1) % _vt_modulus(n, k)
+
+
+def _vt_coloring(n: int, k: Optional[int] = None) -> Coloring:
+    """The weighted-sum coloring of L(1, n), or of its weight-k layer."""
+    assignment = {BitString.from_value(v, n): _vt_color(v, n, k) for v in _word_values(n, k)}
+    return Coloring(s=1, n=n, layer=k, assignment=assignment,
+                    num_colors=_vt_modulus(n, k))
 
 
 def vt_weight(x: BitString) -> int:
     """Position-weighted sum of the one symbols, mod n+1."""
-    return sum((i + 1) * b for i, b in enumerate(x)) % (len(x) + 1)
+    return _vt_color(x.value, len(x))
 
 
 def modified_vt_weight(x: BitString) -> int:
     """Position-weighted sum mod (max(k, n-k) + 1), a proper layer coloring."""
-    n = len(x)
-    k = weight(x)
-    return sum((i + 1) * b for i, b in enumerate(x)) % (max(k, n - k) + 1)
+    return _vt_color(x.value, len(x), weight(x))
 
 
 def vt_code(n: int, residue: int) -> Code:
     """All length-n words whose weighted sum is the given residue mod n+1."""
     if not 0 <= residue <= n:
         raise ValueError(f"residue {residue} out of range 0..{n}")
-    words = [x for x in _all_words(n) if vt_weight(x) == residue]
+    words = [BitString.from_value(v, n) for v in _word_values(n) if _vt_color(v, n) == residue]
     return make_code(n, 1, words, "vt")
 
 
@@ -99,11 +106,11 @@ def layer_code(n: int, k: int) -> Code:
     """
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got k={k}, n={n}")
-    classes: Dict[int, List[BitString]] = {}
-    for x in _layer_words(n, k):
-        classes.setdefault(modified_vt_weight(x), []).append(x)
+    classes: Dict[int, List[int]] = {}
+    for v in _word_values(n, k):
+        classes.setdefault(_vt_color(v, n, k), []).append(v)
     best_color = min(classes, key=lambda col: (-len(classes[col]), col))
-    return make_code(n, 1, classes[best_color], "layer")
+    return make_code(n, 1, (BitString.from_value(v, n) for v in classes[best_color]), "layer")
 
 
 def layer_color_solver(s: int, n: int, k: int) -> Set[BitString]:
@@ -118,7 +125,7 @@ def greedy_layer_solver(s: int, n: int, k: int) -> Set[BitString]:
     return greedy_mis(build_graph(s, n, k))
 
 
-def make_exact_layer_solver(node_budget: int = 10**8) -> LayerSolver:
+def make_exact_layer_solver(node_budget: int = DEFAULT_NODE_BUDGET) -> LayerSolver:
     """Per-layer solver running the exact branch-and-bound search."""
 
     def solver(s: int, n: int, k: int) -> Set[BitString]:
@@ -201,11 +208,6 @@ def verify_code(c: Code) -> bool:
 LayerColoringProvider = Callable[[int, int, int], Tuple[Dict[BitString, int], int]]
 
 
-def _modified_vt_layer_coloring(s: int, n: int, k: int) -> Tuple[Dict[BitString, int], int]:
-    assignment = {x: modified_vt_weight(x) for x in _layer_words(n, k)}
-    return assignment, max(k, n - k) + 1
-
-
 def two_stage_coloring(n: int, s: int,
                        layer_colorings: Optional[LayerColoringProvider] = None) -> Coloring:
     """Proper coloring of the full graph assembled from per-layer colorings.
@@ -214,11 +216,13 @@ def two_stage_coloring(n: int, s: int,
     single index.  For s = 1 the reduced-modulus layer colorings are used
     by default; for general s a provider must be supplied.
     """
-    if layer_colorings is None:
-        if s != 1:
-            raise ValueError("no layer coloring available for s != 1; supply a provider")
-        layer_colorings = _modified_vt_layer_coloring
-    per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
+    if layer_colorings is not None:
+        per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
+    elif s == 1:
+        per_layer = [(c.assignment, c.num_colors)
+                     for c in (_vt_coloring(n, k) for k in range(n + 1))]
+    else:
+        raise ValueError("no layer coloring available for s != 1; supply a provider")
     width = max(nc for _, nc in per_layer)
     assignment: Dict[BitString, int] = {}
     for k, (colors, _) in enumerate(per_layer):
@@ -272,29 +276,19 @@ def chromatic_certificate(n: int, k: Optional[int] = None
     if k is None:
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
-        coloring = Coloring(
-            s=1, n=n, layer=None,
-            assignment={x: vt_weight(x) for x in _all_words(n)},
-            num_colors=n + 1,
-        )
         clique = substring_clique(BitString("0" * (n - 1)), 1)
-        return coloring, clique, n + 1
-    if k in (0, n):
-        raise ValueError(f"layer k={k} of n={n} is a single vertex; no certificate needed")
-    if not 0 < k < n:
-        raise ValueError(f"require 1 <= k <= n-1, got k={k}, n={n}")
-    chi = max(k, n - k) + 1
-    coloring = Coloring(
-        s=1, n=n, layer=k,
-        assignment={x: modified_vt_weight(x) for x in _layer_words(n, k)},
-        num_colors=chi,
-    )
-    if k >= n - k:
-        base = BitString("0" * (n - 1 - k) + "1" * k)  # insert a zero: k+1 words
     else:
-        base = BitString("0" * (n - k) + "1" * (k - 1))  # insert a one: n-k+1 words
-    clique = substring_clique(base, 1, layer=k)
-    return coloring, clique, chi
+        if k in (0, n):
+            raise ValueError(f"layer k={k} of n={n} is a single vertex; no certificate needed")
+        if not 0 < k < n:
+            raise ValueError(f"require 1 <= k <= n-1, got k={k}, n={n}")
+        if k >= n - k:
+            base = BitString("0" * (n - 1 - k) + "1" * k)  # insert a zero: k+1 words
+        else:
+            base = BitString("0" * (n - k) + "1" * (k - 1))  # insert a one: n-k+1 words
+        clique = substring_clique(base, 1, layer=k)
+    coloring = _vt_coloring(n, k)
+    return coloring, clique, coloring.num_colors
 
 
 def _best_segment_params(s: int, n: int) -> Optional[Tuple[int, int, int, int, int]]:

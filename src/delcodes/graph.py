@@ -25,7 +25,9 @@ from .bitstring import (
     BitString,
     MAX_LENGTH,
     _delete_values,
+    _word_values,
     insert_all,
+    insert_all_weighted,
     weight,
 )
 from .counting import weighted_insertion_count
@@ -123,16 +125,12 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     if layer is None:
         if n > MAX_FULL_N:
             raise CapacityError(f"full graph limited to n <= {MAX_FULL_N}, got n={n}")
-        vert_values = list(range(1 << n))
     else:
         if not 0 <= layer <= n:
             raise ValueError(f"layer weight {layer} out of range 0..{n}")
         if n > MAX_LAYER_N:
             raise CapacityError(f"layer graph limited to n <= {MAX_LAYER_N}, got n={n}")
-        vert_values = sorted(
-            sum(1 << (n - 1 - i) for i in pos)
-            for pos in itertools.combinations(range(n), layer)
-        )
+    vert_values = _word_values(n, layer)
 
     adj = [0] * len(vert_values)
     for idxs in _supersequence_cliques(vert_values, n, s):
@@ -225,10 +223,10 @@ def exact_mis(g: ConfusabilityGraph,
     supersequence clique is one constraint: at most one vertex whose
     deletion ball holds a given length-(n-s) word.  The cliques come from
     ``g.params``, so ``g`` must come from :func:`build_graph`; the result
-    is checked against ``g.adjacency`` and :class:`RuntimeError` is raised
-    if it is not independent.  If the search tree exceeds ``node_budget``
-    (nonnegative) nodes, :class:`BudgetExceededError` is raised carrying
-    the best set found so far (the greedy set if the engine has none).
+    is checked against ``g.adjacency``.  :class:`RuntimeError` is raised if
+    it is not independent or if HiGHS fails.  If the search tree exceeds
+    ``node_budget`` (nonnegative) nodes, :class:`BudgetExceededError` is
+    raised carrying the best set found so far (else the greedy set).
     """
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
@@ -251,10 +249,13 @@ def exact_mis(g: ConfusabilityGraph,
             bounds=Bounds(0, 1),
             options={"node_limit": node_budget, "mip_rel_gap": 0.0},
         )
+        # scipy reports HiGHS's node limit (model status 16) as status 4.
+        exhausted = result.status == 1 or "HiGHS Status 16:" in result.message
+        if result.status != 0 and not exhausted:
+            raise RuntimeError(f"exact solver failed: {result.message}")
         found = set()
         if result.x is not None:
             found = {v for v, x in zip(g.vertices, result.x) if x > 0.5}
-        exhausted = result.status != 0
         if exhausted and not found:
             found = greedy_mis(g)
     if not verify_independent(g, found):
@@ -284,11 +285,10 @@ def substring_clique(z: BitString, s: int,
     n = len(z) + s
     if n > MAX_LENGTH:
         raise ValueError(f"length {n} exceeds maximum {MAX_LENGTH}")
-    members = insert_all(z, s)
     if layer is None:
         return CliqueWitness(
             kind="substring",
-            vertices=tuple(sorted(members)),
+            vertices=tuple(sorted(insert_all(z, s))),
             params={"z": z, "s": s},
         )
     r = layer - weight(z)
@@ -296,10 +296,9 @@ def substring_clique(z: BitString, s: int,
         raise ValueError(
             f"layer weight {layer} unreachable from a weight-{weight(z)} base with {s} insertions"
         )
-    members = {y for y in members if weight(y) == layer}
     return CliqueWitness(
         kind="layer-substring",
-        vertices=tuple(sorted(members)),
+        vertices=tuple(sorted(insert_all_weighted(z, s, r))),
         params={"z": z, "s": s, "layer": layer},
     )
 

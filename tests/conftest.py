@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import pytest
@@ -14,6 +15,24 @@ settings.load_profile("delcodes")
 @lru_cache(maxsize=None)
 def _graph(s, n, layer=None):
     return build_graph(s, n, layer)
+
+
+def string_words(n, k=None):
+    """Library-free reference: the length-n words (of weight k) as strings, ascending."""
+    return ["".join(p) for p in itertools.product("01", repeat=n)
+            if k is None or p.count("1") == k]
+
+
+def string_color(w, m):
+    """Library-free reference: sum of the 1-based positions of the ones of w, mod m."""
+    return sum(i + 1 for i, c in enumerate(w) if c == "1") % m
+
+
+@lru_cache(maxsize=None)
+def string_subsequences(w, length):
+    """Library-free reference: the distinct subsequences of w of the given length."""
+    return frozenset("".join(w[i] for i in pos)
+                     for pos in itertools.combinations(range(len(w)), length))
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delcodes import (
     BitString,
@@ -17,6 +18,8 @@ from delcodes import (
     lcs_length,
     weight,
 )
+
+from conftest import string_subsequences, string_words
 
 B = BitString
 
@@ -250,6 +253,19 @@ class TestConfusableSet:
                         if y != x and common_substrings(x, y, s)
                     }
                     assert confusable_set(x, s) == expected
+
+
+    @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
+        st.text("01", min_size=n, max_size=n), st.integers(0, n))))
+    def test_matches_string_reference(self, params):
+        # plain strings: the other words of the same length that share a
+        # length-(n-s) subsequence with x
+        x, s = params
+        m = len(x) - s
+        ball = string_subsequences(x, m)
+        expected = {w for w in string_words(len(x))
+                    if w != x and not ball.isdisjoint(string_subsequences(w, m))}
+        assert {str(y) for y in confusable_set(B(x), s)} == expected
 
 
 def test_deletion_insertion_duality():

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line front end."""
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
+import scipy.optimize
 
 from delcodes import (
     BitString,
@@ -13,6 +17,8 @@ from delcodes import (
     write_code_file,
 )
 from delcodes.cli import main
+
+from conftest import string_color, string_words
 
 B = BitString
 
@@ -195,6 +201,19 @@ class TestAlpha:
         assert "Traceback" not in err
         assert "optimal" not in out
 
+    @pytest.mark.parametrize("status, x, message", [
+        (4, None, "simulated HiGHS failure"),
+        (0, [1.0] * 16, "dependent set"),
+    ], ids=["solver-status-4", "dependent-set"])
+    def test_solver_failure_exits_1(self, capsys, monkeypatch, status, x, message):
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
+            status=status, message="simulated HiGHS failure", x=x))
+        rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "4")
+        assert rc == 1
+        assert err.startswith("error:") and message in err
+        assert "Traceback" not in err
+        assert "optimal" not in out
+
     def test_layer_restriction(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "6", "--k", "3")
         assert rc == 0
@@ -216,13 +235,15 @@ class TestBounds:
         assert sum(sizes) == 256
 
     def test_vt_class_sizes_match_vt_codes(self, capsys):
+        # vt_code and bounds share one coloring, so also check plain strings
         for n in range(1, 11):
             rc, out, _ = run(capsys, "bounds", "--n", str(n), "--s", "1")
             assert rc == 0
             fields = parse_report(out)
-            assert [int(fields[f"vt_size_a{a}"]) for a in range(n + 1)] == [
-                len(vt_code(n, a).words) for a in range(n + 1)
-            ]
+            sizes = [int(fields[f"vt_size_a{a}"]) for a in range(n + 1)]
+            assert sizes == [len(vt_code(n, a).words) for a in range(n + 1)]
+            reference = Counter(string_color(w, n + 1) for w in string_words(n))
+            assert sizes == [reference[a] for a in range(n + 1)]
 
     def test_two_deletion_report(self, capsys):
         rc, out, _ = run(capsys, "bounds", "--n", "10", "--s", "2")
@@ -269,6 +290,12 @@ class TestWitness:
         rc, _, err = run(capsys, "witness", "--kind", "clique", "--s", "1")
         assert rc == 2
         assert err.startswith("error:")
+
+    def test_imperfect_requires_n(self, capsys):
+        rc, out, err = run(capsys, "witness", "--kind", "imperfect", "--s", "1")
+        assert rc == 2
+        assert err.startswith("error:") and "--n" in err
+        assert out == ""
 
 
 class TestSelftest:

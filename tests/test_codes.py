@@ -39,9 +39,23 @@ from delcodes import (
     write_code_file,
 )
 
-from conftest import _graph as G
+from conftest import _graph as G, string_color, string_words
 
 B = BitString
+
+
+def string_coloring(n, k=None):
+    """Plain-string weighted-sum coloring of L(1, n) or of layer k: (modulus, {word: color})."""
+    m = n + 1 if k is None else max(k, n - k) + 1
+    return m, {w: string_color(w, m) for w in string_words(n, k)}
+
+
+def string_classes(n, k=None):
+    """The color classes of :func:`string_coloring`, each in ascending word order."""
+    classes = {}
+    for w, color in string_coloring(n, k)[1].items():
+        classes.setdefault(color, []).append(w)
+    return classes
 
 
 class TestVtWeight:
@@ -78,6 +92,12 @@ class TestVtCode:
         with pytest.raises(ValueError):
             vt_code(4, 5)
 
+    def test_matches_string_reference(self):
+        for n in range(0, 11):
+            classes = string_classes(n)
+            for a in range(n + 1):
+                assert [str(w) for w in vt_code(n, a).words] == classes.get(a, [])
+
 
 class TestModifiedVtWeight:
     def test_examples(self):
@@ -111,6 +131,18 @@ class TestLayerCode:
     def test_parameter_errors(self):
         with pytest.raises(ValueError):
             layer_code(4, 5)
+
+    def test_matches_string_reference(self):
+        # the largest class wins; a tie goes to the smallest color
+        ties = 0
+        for n in range(0, 11):
+            for k in range(n + 1):
+                classes = string_classes(n, k)
+                largest = max(len(ws) for ws in classes.values())
+                winners = sorted(c for c, ws in classes.items() if len(ws) == largest)
+                ties += len(winners) > 1
+                assert [str(w) for w in layer_code(n, k).words] == classes[winners[0]]
+        assert ties
 
 
 class TestWeightPartitionCode:
@@ -223,6 +255,17 @@ class TestTwoStageColoring:
                 if weight(x) % 2 != weight(y) % 2:
                     assert cx != cy
 
+    def test_matches_string_reference(self):
+        # color = weight parity * width + layer color, width = widest layer
+        for n in range(0, 11):
+            layers = [string_coloring(n, k) for k in range(n + 1)]
+            width = max(m for m, _ in layers)
+            expected = {w: (k % 2) * width + color
+                        for k, (_, colors) in enumerate(layers) for w, color in colors.items()}
+            coloring = two_stage_coloring(n, 1)
+            assert {str(x): c for x, c in coloring.assignment.items()} == expected
+            assert coloring.num_colors == 2 * width
+
     def test_general_s_needs_provider(self):
         with pytest.raises(ValueError):
             two_stage_coloring(6, 2)
@@ -307,6 +350,14 @@ class TestChromaticCertificate:
                 assert verify_coloring(g, coloring.assignment)
                 assert len(clique.vertices) == chi
                 assert verify_clique(g, clique.vertices)
+
+    def test_matches_string_reference(self):
+        for n in range(1, 11):
+            for k in [None, *range(1, n)]:
+                m, expected = string_coloring(n, k)
+                coloring, clique, chi = chromatic_certificate(n, k)
+                assert {str(x): c for x, c in coloring.assignment.items()} == expected
+                assert coloring.num_colors == chi == len(clique.vertices) == m
 
     def test_degenerate_layer_rejected(self):
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 
 import itertools
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 
 from delcodes import (
@@ -31,7 +33,7 @@ from delcodes import (
     weight,
 )
 
-from conftest import _graph as G
+from conftest import _graph as G, string_words
 
 B = BitString
 
@@ -273,6 +275,27 @@ class TestExactMis:
         with pytest.raises(RuntimeError, match="dependent"):
             exact_mis(g)
 
+    @pytest.mark.parametrize("status", [2, 3, 4])
+    def test_solver_failure_is_not_budget_exhaustion(self, monkeypatch, status):
+        # only a limit (status 1, or HiGHS model status 16) means the budget ran out
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
+            status=status, message="simulated HiGHS failure (HiGHS Status 8: x)", x=None))
+        with pytest.raises(RuntimeError, match="simulated HiGHS failure") as info:
+            exact_mis(G(1, 4))
+        assert not isinstance(info.value, BudgetExceededError)
+
+    @pytest.mark.parametrize("status, message", [
+        (1, "Iteration limit reached. (HiGHS Status 14: x)"),
+        (4, "not recognized. (HiGHS Status 16: Solution limit reached)"),
+    ], ids=["limit", "node-limit"])
+    def test_limit_statuses_are_budget_exhaustion(self, monkeypatch, status, message):
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
+            status=status, message=message, x=None))
+        g = G(1, 4)
+        with pytest.raises(BudgetExceededError) as info:
+            exact_mis(g)
+        assert info.value.best == greedy_mis(g)
+
     def test_deterministic(self):
         g = G(1, 6)
         assert exact_mis(g) == exact_mis(g)
@@ -295,6 +318,19 @@ class TestSubstringClique:
         assert len(w.vertices) == 3
         assert verify_clique(G(1, 4, 2), w.vertices)
 
+        # plain-string reference: the layer words that hold z as a subsequence
+        def holds(w, z):
+            it = iter(w)
+            return all(c in it for c in z)
+
+        for z in ("", "0", "01", "110", "0101"):
+            for s in range(0, 4):
+                n = len(z) + s
+                for layer in range(z.count("1"), z.count("1") + s + 1):
+                    w = substring_clique(B(z), s, layer=layer)
+                    expected = [y for y in string_words(n, layer) if holds(y, z)]
+                    assert [str(v) for v in w.vertices] == expected
+
     def test_sizes_match_counting(self):
         for z in (B("0101"), B("1100")):
             for s in (1, 2):
@@ -303,8 +339,10 @@ class TestSubstringClique:
                 )
 
     def test_unreachable_layer(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unreachable"):
             substring_clique(B("000"), 1, layer=2)
+        with pytest.raises(ValueError, match="unreachable"):
+            substring_clique(B("110"), 1, layer=1)
 
 
 class TestSegmentClique:
