@@ -133,19 +133,23 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, s = args.n, args.s
-    print(f"n={n}")
-    print(f"s={s}")
-    print(f"insertion_count={counting.insertion_count(s, n)}")
-    print(f"levenshtein_lower_bound={_frac(levenshtein_lower_bound(n, s))}")
-    print(f"constant_weight_guarantee={_frac(constant_weight_guarantee(n, s))}")
-    print(f"penalty_ratio={_frac(penalty_ratio(s))}")
+    # Every value is computed before any is printed, so a usage error
+    # leaves no partial report on stdout.
+    lines = [
+        f"n={n}",
+        f"s={s}",
+        f"insertion_count={counting.insertion_count(s, n)}",
+        f"levenshtein_lower_bound={_frac(levenshtein_lower_bound(n, s))}",
+        f"constant_weight_guarantee={_frac(constant_weight_guarantee(n, s))}",
+        f"penalty_ratio={_frac(penalty_ratio(s))}",
+    ]
     if s >= 1:
-        print(f"chromatic_lower_bound={chromatic_lower_bound(s, n)}")
+        lines.append(f"chromatic_lower_bound={chromatic_lower_bound(s, n)}")
     if s == 1 and n <= MAX_CONSTRUCT_N:
         # No residue is known to win in general, so report every class size.
         sizes = Counter(codes_mod._vt_color(v, n) for v in _word_values(n))
-        for a in range(n + 1):
-            print(f"vt_size_a{a}={sizes[a]}")
+        lines += [f"vt_size_a{a}={sizes[a]}" for a in range(n + 1)]
+    print("\n".join(lines))
     return 0
 
 

@@ -8,9 +8,15 @@ restricts the vertex set to a single Hamming weight.
 
 Edges come from the deletion balls of the vertices: the vertices whose
 balls contain one length-(n-s) word z form a clique, and every edge lies
-in such a clique.  The same cliques are the constraint rows of the exact
-solver.  The equivalence with the pairwise-distance definition is
-exercised by the test suite.
+in such a clique.  The equivalence with the pairwise-distance definition
+is exercised by the test suite.
+
+The exact solver has two engines, chosen by edge density.  Dense graphs,
+such as every layer for s = 2 up to n = 13, are searched in pure Python
+as a maximum clique of the complement.  Sparse graphs go to HiGHS through
+scipy, with the supersequence cliques as constraint rows; scipy is
+imported only then.  The node budget counts the search nodes of
+whichever engine runs.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ from .counting import weighted_insertion_count
 MAX_FULL_N = 16
 MAX_LAYER_N = 22
 DEFAULT_NODE_BUDGET = 10**8
+# Edge density (edges over vertex pairs) from which exact_mis runs the clique
+# search instead of HiGHS: on sparser graphs the clique partition bound is
+# weak and the LP over the supersequence cliques is strong.
+_CLIQUE_SEARCH_MIN_DENSITY = Fraction(1, 5)
 
 
 class CapacityError(ValueError):
@@ -218,46 +228,24 @@ def exact_mis(g: ConfusabilityGraph,
               node_budget: int = DEFAULT_NODE_BUDGET) -> Set[BitString]:
     """Maximum independent set by branch and bound.
 
-    The search is delegated to the HiGHS branch-and-bound engine through
-    scipy (one binary variable per vertex, zero optimality gap).  Each
-    supersequence clique is one constraint: at most one vertex whose
-    deletion ball holds a given length-(n-s) word.  The cliques come from
-    ``g.params``, so ``g`` must come from :func:`build_graph`; the result
-    is checked against ``g.adjacency``.  :class:`RuntimeError` is raised if
-    it is not independent or if HiGHS fails.  If the search tree exceeds
-    ``node_budget`` (nonnegative) nodes, :class:`BudgetExceededError` is
-    raised carrying the best set found so far (else the greedy set).
+    The engine is chosen by edge density.  A graph with at least one fifth
+    of all vertex pairs joined is solved in pure Python as a maximum clique
+    of its complement (:func:`_clique_search_mis`); a sparser one goes to
+    HiGHS through scipy (:func:`_highs_mis`), which is imported only then.
+    ``node_budget`` (nonnegative) bounds the search nodes of whichever
+    engine runs.  HiGHS builds its constraints from ``g.params``, so ``g``
+    must come from :func:`build_graph`; either answer is checked against
+    ``g.adjacency``, and :class:`RuntimeError` is raised if it is not
+    independent or if HiGHS fails.  If the budget runs out,
+    :class:`BudgetExceededError` is raised carrying the best set found so
+    far (else the greedy set).
     """
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
-    import numpy as np
-    from scipy import sparse
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
-    cliques = _supersequence_cliques([v.value for v in g.vertices], g.params.n, g.params.s)
-    found, exhausted = set(g.vertices), False
-    if cliques:
-        rows = [r for r, idxs in enumerate(cliques) for _ in idxs]
-        cols = [i for idxs in cliques for i in idxs]
-        matrix = sparse.csc_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(len(cliques), len(g))
-        )
-        result = milp(
-            c=-np.ones(len(g)),
-            constraints=LinearConstraint(matrix, -np.inf, 1),
-            integrality=np.ones(len(g)),
-            bounds=Bounds(0, 1),
-            options={"node_limit": node_budget, "mip_rel_gap": 0.0},
-        )
-        # scipy reports HiGHS's node limit (model status 16) as status 4.
-        exhausted = result.status == 1 or "HiGHS Status 16:" in result.message
-        if result.status != 0 and not exhausted:
-            raise RuntimeError(f"exact solver failed: {result.message}")
-        found = set()
-        if result.x is not None:
-            found = {v for v, x in zip(g.vertices, result.x) if x > 0.5}
-        if exhausted and not found:
-            found = greedy_mis(g)
+    v = len(g)
+    edges = sum(mask.bit_count() for mask in g.adjacency) // 2
+    dense = 2 * edges >= _CLIQUE_SEARCH_MIN_DENSITY * v * (v - 1)
+    found, exhausted = (_clique_search_mis if dense else _highs_mis)(g, node_budget)
     if not verify_independent(g, found):
         raise RuntimeError("solver returned a dependent set; the graph does not "
                            f"match its parameters {g.params}")
@@ -267,6 +255,107 @@ def exact_mis(g: ConfusabilityGraph,
             found,
         )
     return found
+
+
+def _clique_search_mis(g: ConfusabilityGraph,
+                       node_budget: int) -> Tuple[Set[BitString], bool]:
+    """(maximum independent set, budget exhausted) by a bitmask clique search.
+
+    A maximum clique of the complement of g, in the scheme of Tomita and
+    Seki's MCQ: vertices are numbered by ascending degree in g, and each
+    node is bounded by a greedy partition of its candidates into cliques
+    of g, which no independent set meets twice.  The greedy set is the
+    first incumbent.  Every branch below the root counts as one node
+    against ``node_budget``.
+    """
+    adj = g.adjacency
+    order = sorted(range(len(adj)), key=lambda i: (adj[i].bit_count(), i))
+    position = {i: p for p, i in enumerate(order)}
+    full = (1 << len(adj)) - 1
+    apart = []  # apart[p]: the non-neighbors of vertex order[p], by position
+    for p, i in enumerate(order):
+        mask = 1 << p
+        for j in _iter_bits(adj[i]):
+            mask |= 1 << position[j]
+        apart.append(full & ~mask)
+
+    greedy = greedy_mis(g)
+    best_size = len(greedy)
+    best = sum(1 << position[g.index_of(x)] for x in greedy)
+    nodes = 0
+
+    def expand(cand: int, chosen: int, size: int) -> bool:
+        """Search below one node; False once the budget is exhausted."""
+        nonlocal best, best_size, nodes
+        if not cand:
+            if size > best_size:
+                best, best_size = chosen, size
+            return True
+        # Greedy clique partition of the candidates: an independent set among
+        # the vertices taken up to one in the c-th clique has at most c members.
+        taken, bounds, rest, cliques = [], [], cand, 0
+        while rest:
+            cliques += 1
+            free = rest
+            while free:
+                low = free & -free
+                free &= ~low & ~apart[low.bit_length() - 1]
+                rest &= ~low
+                taken.append(low)
+                bounds.append(cliques)
+        for low, bound in zip(reversed(taken), reversed(bounds)):
+            if size + bound <= best_size:
+                return True
+            nodes += 1
+            if nodes > node_budget:
+                return False
+            if not expand(cand & apart[low.bit_length() - 1], chosen | low, size + 1):
+                return False
+            cand &= ~low
+        return True
+
+    exhausted = not expand(full, 0, 0)
+    return {g.vertices[order[p]] for p in _iter_bits(best)}, exhausted
+
+
+def _highs_mis(g: ConfusabilityGraph,
+               node_budget: int) -> Tuple[Set[BitString], bool]:
+    """(maximum independent set, budget exhausted) by the HiGHS branch and bound.
+
+    One binary variable per vertex, zero optimality gap.  Each
+    supersequence clique is one constraint: at most one vertex whose
+    deletion ball holds a given length-(n-s) word.  :class:`RuntimeError`
+    is raised if HiGHS stops for a reason other than its node limit.
+    """
+    cliques = _supersequence_cliques([v.value for v in g.vertices], g.params.n, g.params.s)
+    if not cliques:
+        return set(g.vertices), False
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rows = [r for r, idxs in enumerate(cliques) for _ in idxs]
+    cols = [i for idxs in cliques for i in idxs]
+    matrix = sparse.csc_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=(len(cliques), len(g))
+    )
+    result = milp(
+        c=-np.ones(len(g)),
+        constraints=LinearConstraint(matrix, -np.inf, 1),
+        integrality=np.ones(len(g)),
+        bounds=Bounds(0, 1),
+        options={"node_limit": node_budget, "mip_rel_gap": 0.0},
+    )
+    # scipy reports HiGHS's node limit (model status 16) as status 4.
+    exhausted = result.status == 1 or "HiGHS Status 16:" in result.message
+    if result.status != 0 and not exhausted:
+        raise RuntimeError(f"exact solver failed: {result.message}")
+    found = set()
+    if result.x is not None:
+        found = {v for v, x in zip(g.vertices, result.x) if x > 0.5}
+    if exhausted and not found:
+        found = greedy_mis(g)
+    return found, exhausted
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ def string_subsequences(w, length):
                      for pos in itertools.combinations(range(len(w)), length))
 
 
+def string_supersequences(w, t):
+    """Library-free reference: the distinct words made by inserting t symbols into w."""
+    level = {w}
+    for _ in range(t):
+        level = {u[:i] + c + u[i:] for u in level for i in range(len(u) + 1) for c in "01"}
+    return level
+
+
 @pytest.fixture(scope="session")
 def cached_graph():
     """Session-wide memoized graph builder; graphs are immutable."""

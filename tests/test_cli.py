@@ -203,12 +203,13 @@ class TestAlpha:
 
     @pytest.mark.parametrize("status, x, message", [
         (4, None, "simulated HiGHS failure"),
-        (0, [1.0] * 16, "dependent set"),
+        (0, [1.0] * 256, "dependent set"),
     ], ids=["solver-status-4", "dependent-set"])
     def test_solver_failure_exits_1(self, capsys, monkeypatch, status, x, message):
         monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
             status=status, message="simulated HiGHS failure", x=x))
-        rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "4")
+        # L(1, 8) is sparse enough to reach HiGHS
+        rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "8")
         assert rc == 1
         assert err.startswith("error:") and message in err
         assert "Traceback" not in err
@@ -251,6 +252,13 @@ class TestBounds:
         fields = parse_report(out)
         assert fields["penalty_ratio"] == "9/8"
         assert "vt_size_a0" not in fields
+
+    @pytest.mark.parametrize("s", ["5", "-1"])
+    def test_usage_error_prints_no_partial_report(self, capsys, s):
+        rc, out, err = run(capsys, "bounds", "--s", s, "--n", "3")
+        assert rc == 2
+        assert err.startswith("error:")
+        assert out == ""
 
 
 class TestWitness:

@@ -20,6 +20,8 @@ from delcodes import (
     weighted_insertion_count,
 )
 
+from conftest import string_supersequences, string_words
+
 B = BitString
 
 
@@ -196,6 +198,20 @@ class TestCodecBijection:
                         enc = encode(x, y)
                         assert enc not in seen
                         seen[enc] = y
+
+    def test_matches_string_reference(self):
+        # supersequences by plain-string insertion, independent of insert_all
+        for n in range(7):
+            for x in string_words(n):
+                for t in range(3):
+                    ys = string_supersequences(x, t)
+                    assert len(ys) == insertion_count(t, n + t)
+                    encodings = set()
+                    for y in ys:
+                        z = encode(B(x), B(y))
+                        assert decode(B(x), z) == B(y)
+                        encodings.add(z)
+                    assert len(encodings) == len(ys), (x, t)
 
     def test_structural_invariants(self):
         # inserted ones land in z0/z2, inserted zeros in z1/z2, and the

@@ -1,7 +1,11 @@
 """Tests for graph construction, degree bounds, independent sets, and witnesses."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +36,7 @@ from delcodes import (
     vt_weight,
     weight,
 )
+from delcodes.graph import DEFAULT_NODE_BUDGET, _clique_search_mis, _highs_mis
 
 from conftest import _graph as G, string_words
 
@@ -256,22 +261,23 @@ class TestExactMis:
             assert len(out) == brute_force_mis_size(g)
 
     def test_budget_exhaustion_carries_incumbent(self):
-        g = G(1, 8)
-        for budget in (0, 1):
-            with pytest.raises(BudgetExceededError) as info:
-                exact_mis(g, node_budget=budget)
-            assert verify_independent(g, info.value.best)
-            assert len(info.value.best) >= 1
+        # L(1, 8) goes to HiGHS, its dense layer L(2, 9) weight 4 to the clique search
+        for g in (G(1, 8), G(2, 9, 4)):
+            for budget in (0, 1):
+                with pytest.raises(BudgetExceededError) as info:
+                    exact_mis(g, node_budget=budget)
+                assert verify_independent(g, info.value.best)
+                assert len(info.value.best) >= 1
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             exact_mis(G(1, 4), node_budget=-1)
 
     def test_graph_not_matching_its_parameters_rejected(self):
-        # the constraints come from the parameters (s = 1), the check from
-        # the denser s = 2 adjacency, so the solver's set fails the check
-        dense = G(2, 4)
-        g = ConfusabilityGraph(GraphParams(1, 4), dense.vertices, dense.adjacency)
+        # the constraints come from the parameters (s = 0: no clique rows),
+        # the check from the sparse s = 1 adjacency, so the set fails the check
+        sparse = G(1, 8)
+        g = ConfusabilityGraph(GraphParams(0, 8), sparse.vertices, sparse.adjacency)
         with pytest.raises(RuntimeError, match="dependent"):
             exact_mis(g)
 
@@ -281,7 +287,7 @@ class TestExactMis:
         monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
             status=status, message="simulated HiGHS failure (HiGHS Status 8: x)", x=None))
         with pytest.raises(RuntimeError, match="simulated HiGHS failure") as info:
-            exact_mis(G(1, 4))
+            exact_mis(G(1, 8))  # sparse enough to reach HiGHS
         assert not isinstance(info.value, BudgetExceededError)
 
     @pytest.mark.parametrize("status, message", [
@@ -291,14 +297,54 @@ class TestExactMis:
     def test_limit_statuses_are_budget_exhaustion(self, monkeypatch, status, message):
         monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
             status=status, message=message, x=None))
-        g = G(1, 4)
+        g = G(1, 8)  # sparse enough to reach HiGHS
         with pytest.raises(BudgetExceededError) as info:
             exact_mis(g)
         assert info.value.best == greedy_mis(g)
 
     def test_deterministic(self):
-        g = G(1, 6)
-        assert exact_mis(g) == exact_mis(g)
+        for g in (G(1, 6), G(2, 8, 4)):
+            assert exact_mis(g) == exact_mis(g)
+
+    def test_engines_agree(self):
+        params = [(s, n, k) for n in range(9) for s in range(min(n, 3) + 1)
+                  for k in range(n + 1)]
+        params += [(1, n, None) for n in range(1, 7)] + [(2, n, None) for n in range(2, 8)]
+        for s, n, k in params:
+            g = G(s, n, k)
+            by_clique, exhausted = _clique_search_mis(g, DEFAULT_NODE_BUDGET)
+            assert not exhausted and verify_independent(g, by_clique)
+            by_highs, exhausted = _highs_mis(g, DEFAULT_NODE_BUDGET)
+            assert not exhausted and verify_independent(g, by_highs)
+            assert len(by_clique) == len(by_highs), (s, n, k)
+
+    def test_clique_search_matches_brute_force(self):
+        for s, n, k in [(1, 4, None), (2, 5, None), (1, 6, 3), (2, 6, 3), (3, 7, 3),
+                        (2, 7, 2), (3, 3, None), (1, 1, None), (0, 0, None)]:
+            g = G(s, n, k)
+            v, edges = len(g), degree_stats(g)[2]
+            assert 10 * edges >= v * (v - 1), (s, n, k)  # dense: exact_mis runs this engine
+            out, exhausted = _clique_search_mis(g, DEFAULT_NODE_BUDGET)
+            assert not exhausted and verify_independent(g, out)
+            assert len(out) == brute_force_mis_size(g), (s, n, k)
+
+    def test_dense_and_edgeless_graphs_leave_scipy_unimported(self):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+        )
+        script = (
+            "import sys\n"
+            "from delcodes import build_graph, exact_mis\n"
+            "assert len(exact_mis(build_graph(2, 8, 4))) == 4\n"
+            "assert len(exact_mis(build_graph(0, 10))) == 1024\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestSubstringClique:
