@@ -124,6 +124,8 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
             print("budget_exhausted=true")
     optimal = args.method == "exact" and not exhausted
     print(f"method={args.method}")
+    if args.method == "exact":
+        print(f"engine={graph_mod._exact_engine(g)}")
     print(f"size={len(result)}")
     print(f"optimal={'true' if optimal else 'false'}")
     for v in sorted(result):

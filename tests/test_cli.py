@@ -175,6 +175,7 @@ class TestAlpha:
     def test_exact_small(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "4")
         assert rc == 0
+        assert out.splitlines()[:2] == ["method=exact", "engine=clique-search"]
         fields = parse_report(out)
         assert fields["size"] == "4"
         assert fields["optimal"] == "true"
@@ -184,13 +185,16 @@ class TestAlpha:
     def test_greedy_flagged_not_optimal(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "5", "--method", "greedy")
         assert rc == 0
-        assert parse_report(out)["optimal"] == "false"
+        fields = parse_report(out)
+        assert fields["optimal"] == "false"
+        assert "engine" not in fields
 
     def test_budget_exhaustion_exits_1(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "8", "--budget", "1")
         assert rc == 1
         fields = parse_report(out)
         assert fields["budget_exhausted"] == "true"
+        assert fields["engine"] == "highs"
         assert fields["optimal"] == "false"
         assert int(fields["size"]) >= 1
 

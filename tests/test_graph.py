@@ -36,7 +36,13 @@ from delcodes import (
     vt_weight,
     weight,
 )
-from delcodes.graph import DEFAULT_NODE_BUDGET, _clique_search_mis, _highs_mis
+from delcodes.graph import (
+    DEFAULT_NODE_BUDGET,
+    _clique_search_mis,
+    _degeneracy_order,
+    _exact_engine,
+    _highs_mis,
+)
 
 from conftest import _graph as G, string_words
 
@@ -261,8 +267,9 @@ class TestExactMis:
             assert len(out) == brute_force_mis_size(g)
 
     def test_budget_exhaustion_carries_incumbent(self):
-        # L(1, 8) goes to HiGHS, its dense layer L(2, 9) weight 4 to the clique search
-        for g in (G(1, 8), G(2, 9, 4)):
+        # L(1, 8) goes to HiGHS, its dense layer L(2, 9) weight 4 and the small
+        # sparse L(1, 7) to the clique search
+        for g in (G(1, 8), G(2, 9, 4), G(1, 7)):
             for budget in (0, 1):
                 with pytest.raises(BudgetExceededError) as info:
                     exact_mis(g, node_budget=budget)
@@ -303,13 +310,15 @@ class TestExactMis:
         assert info.value.best == greedy_mis(g)
 
     def test_deterministic(self):
-        for g in (G(1, 6), G(2, 8, 4)):
+        for g in (G(1, 6), G(2, 8, 4), G(1, 7)):
             assert exact_mis(g) == exact_mis(g)
 
     def test_engines_agree(self):
         params = [(s, n, k) for n in range(9) for s in range(min(n, 3) + 1)
                   for k in range(n + 1)]
         params += [(1, n, None) for n in range(1, 7)] + [(2, n, None) for n in range(2, 8)]
+        # the sparse graphs of at most 128 vertices, searched in degeneracy order
+        params += [(1, 7, None), (1, 9, 4), (1, 10, 3)]
         for s, n, k in params:
             g = G(s, n, k)
             by_clique, exhausted = _clique_search_mis(g, DEFAULT_NODE_BUDGET)
@@ -339,12 +348,47 @@ class TestExactMis:
             "from delcodes import build_graph, exact_mis\n"
             "assert len(exact_mis(build_graph(2, 8, 4))) == 4\n"
             "assert len(exact_mis(build_graph(0, 10))) == 1024\n"
+            "assert len(exact_mis(build_graph(1, 7))) == 16\n"
+            "assert len(exact_mis(build_graph(1, 10, 3))) == 16\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env,
                                 capture_output=True, text=True, timeout=120)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_engine_routing(self):
+        # HiGHS only for a sparse graph (density below 1/5) of more than 128
+        # vertices; the edgeless L(0, 10) returns before scipy is imported
+        assert _exact_engine(G(2, 8, 4)) == "clique-search"  # dense
+        assert _exact_engine(G(1, 7)) == "clique-search"  # sparse, 128 vertices
+        assert _exact_engine(G(1, 10, 3)) == "clique-search"  # sparse, 120 vertices
+        assert _exact_engine(G(1, 8)) == "highs"  # sparse, 256 vertices
+        assert _exact_engine(G(0, 10)) == "highs"
+
+    def test_small_sparse_graph_skips_highs(self, monkeypatch):
+        def milp(*args, **kwargs):
+            raise AssertionError("HiGHS reached")
+
+        monkeypatch.setattr(scipy.optimize, "milp", milp)
+        g = G(1, 7)
+        out = exact_mis(g)
+        assert len(out) == 16 and verify_independent(g, out)
+        with pytest.raises(AssertionError, match="HiGHS reached"):
+            exact_mis(G(1, 8))
+
+    @pytest.mark.parametrize("s, n, k", [(1, 6, None), (2, 7, 3), (1, 9, 4)])
+    def test_degeneracy_order(self, s, n, k):
+        # removed last-to-first, each vertex has the fewest non-neighbors left
+        g = G(s, n, k)
+        order = _degeneracy_order(g.adjacency)
+        assert sorted(order) == list(range(len(g)))
+        left = set(range(len(g)))
+        for i in reversed(order):
+            apart = {u: sum(1 for w in left if w != u and not g.adjacency[u] >> w & 1)
+                     for u in left}
+            assert apart[i] == min(apart.values()), (s, n, k, i)
+            left.remove(i)
 
 
 class TestSubstringClique:
