@@ -8,7 +8,7 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Set, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 MAX_LENGTH = 63
 
@@ -147,11 +147,22 @@ def _word_values(n: int, k: Optional[int] = None) -> Sequence[int]:
     return [v for v in range(1 << n) if v.bit_count() == k]
 
 
-def _delete_value(v: int, n: int, i: int) -> int:
-    """Remove symbol i from an n-symbol word packed in v."""
-    high = v >> (n - i)
-    low = v & ((1 << (n - 1 - i)) - 1)
-    return (high << (n - 1 - i)) | low
+def _single_deletions(v: int, n: int) -> List[int]:
+    """The distinct words left by deleting one symbol of an n-symbol word.
+
+    Deleting any symbol of a run leaves the same word, and deletions from
+    different runs leave different words, so there is one result per run:
+    the word without the run's last symbol.
+    """
+    out = []
+    high = v >> 1
+    # bit p is set where a run ends: at the last symbol, or before a change
+    ends = (v ^ v << 1 | 1) & ((1 << n) - 1)
+    while ends:
+        low = ends & -ends
+        out.append(high & -low | v & (low - 1))
+        ends ^= low
+    return out
 
 
 def _insert_value(v: int, n: int, i: int, bit: int) -> int:
@@ -164,9 +175,8 @@ def _insert_value(v: int, n: int, i: int, bit: int) -> int:
 def _delete_values(v: int, n: int, s: int) -> Set[int]:
     """All distinct results of s deletions, as packed values of length n-s."""
     level = {v}
-    for step in range(s):
-        m = n - step
-        level = {_delete_value(w, m, i) for w in level for i in range(m)}
+    for m in range(n, n - s, -1):
+        level = {z for w in level for z in _single_deletions(w, m)}
     return level
 
 

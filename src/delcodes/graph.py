@@ -8,8 +8,15 @@ restricts the vertex set to a single Hamming weight.
 
 Edges come from the deletion balls of the vertices: the vertices whose
 balls contain one length-(n-s) word z form a clique, and every edge lies
-in such a clique.  The equivalence with the pairwise-distance definition
-is exercised by the test suite.
+in such a clique.  The balls are never built one vertex at a time: one
+pass over the deletion levels, from the vertices to their length-(n-s)
+subsequences, gives every such word the mask of its clique, and a pass
+back ORs these into the vertices, taking one single deletion per run at
+each step.  The equivalence with the pairwise-distance definition is
+exercised by the test suite.
+
+The greedy independent set keeps its vertices in a bucket queue by degree,
+and a coloring is checked with one vertex mask per color class.
 
 The exact solver has two engines, chosen by edge density and size.  Dense
 graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
@@ -30,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 from .bitstring import (
     BitString,
     MAX_LENGTH,
-    _delete_values,
+    _single_deletions,
     _word_values,
     insert_all,
     insert_all_weighted,
@@ -121,22 +128,53 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _deletion_levels(values: Sequence[int], n: int,
+                     s: int) -> Tuple[List[List[int]], Dict[int, int]]:
+    """The up pass over deletion levels, from the given n-symbol words.
+
+    Level 0 maps each word to its own bit (1 << index); level j + 1 maps
+    each distinct single deletion z of a level-j word u to the OR of the
+    masks of all such u, so a level-j word's mask holds the words whose
+    deletion balls of radius j contain it.  Returns the key lists of
+    levels 0..s-1, and level s: each length-(n-s) word with its mask.
+    Only one level is held as a dict at a time.
+    """
+    keys = []
+    level = {v: 1 << i for i, v in enumerate(values)}
+    for m in range(n, n - s, -1):
+        nxt: Dict[int, int] = {}
+        get = nxt.get
+        for u, mask in level.items():
+            for z in _single_deletions(u, m):
+                nxt[z] = get(z, 0) | mask
+        keys.append(list(level))
+        level = nxt
+    return keys, level
+
+
 def _supersequence_cliques(values: Sequence[int], n: int, s: int) -> List[List[int]]:
     """Index lists of the given n-symbol words that share a length-(n-s) subsequence.
 
     One list per shared subsequence z: the words whose deletion balls
     contain z, a clique of two or more.  Every confusable pair of the
-    words lies in at least one list.
+    words lies in at least one list.  These are the bottom level of
+    :func:`_deletion_levels`, the pass that also gives the graph's edges.
     """
-    groups: Dict[int, List[int]] = {}
-    for i, v in enumerate(values):
-        for z in _delete_values(v, n, s):
-            groups.setdefault(z, []).append(i)
-    return [idxs for idxs in groups.values() if len(idxs) > 1]
+    _, bottom = _deletion_levels(values, n, s)
+    return [list(_iter_bits(mask)) for mask in bottom.values() if mask & (mask - 1)]
 
 
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
-    """Build the deletion-distance graph for (s, n), optionally one weight layer."""
+    """Build the deletion-distance graph for (s, n), optionally one weight layer.
+
+    Two passes over the deletion levels, each costing one OR per (word,
+    single deletion) pair and level.  The up pass
+    (:func:`_deletion_levels`) gives every length-(n-s) word the mask of
+    its supersequence clique.  The down pass carries them back: for
+    j = s-1 down to 0, a length-(n-j) word gets the OR of the masks of its
+    single deletions, so at level 0 each vertex holds every vertex that
+    shares a length-(n-s) subsequence with it, itself included.
+    """
     if not 0 <= s <= n:
         raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
     if layer is None:
@@ -149,18 +187,19 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
             raise CapacityError(f"layer graph limited to n <= {MAX_LAYER_N}, got n={n}")
     vert_values = _word_values(n, layer)
 
-    adj = [0] * len(vert_values)
-    for idxs in _supersequence_cliques(vert_values, n, s):
-        mask = 0
-        for i in idxs:
-            mask |= 1 << i
-        for i in idxs:
-            adj[i] |= mask
-    for i in range(len(adj)):
-        adj[i] &= ~(1 << i)
+    keys, level = _deletion_levels(vert_values, n, s)
+    for m in range(n - s + 1, n + 1):
+        below, level = level, {}
+        for u in keys.pop():
+            mask = 0
+            for z in _single_deletions(u, m):
+                mask |= below[z]
+            level[u] = mask
+        del below
+    adj = tuple(level[v] & ~(1 << i) for i, v in enumerate(vert_values))
 
     vertices = tuple(BitString.from_value(v, n) for v in vert_values)
-    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, tuple(adj))
+    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, adj)
 
 
 def degree_stats(g: ConfusabilityGraph) -> Tuple[int, Fraction, int]:
@@ -197,37 +236,64 @@ def verify_independent(g: ConfusabilityGraph, vs: Iterable[BitString]) -> bool:
 
 
 def verify_coloring(g: ConfusabilityGraph, coloring: Mapping[BitString, int]) -> bool:
-    """True iff the coloring is total on g's vertices and proper."""
+    """True iff the coloring is total on g's vertices and proper.
+
+    The labels may be any hashable values.  Each color class is kept as
+    one vertex mask, grown in vertex order; since adjacency is symmetric,
+    the coloring is proper iff no vertex is adjacent to an earlier member
+    of its own class.
+    """
     try:
         colors = [coloring[v] for v in g.vertices]
     except KeyError as missing:
         raise ValueError(f"coloring is missing vertex {missing.args[0]}") from None
-    for i, mask in enumerate(g.adjacency):
-        ci = colors[i]
-        for j in _iter_bits(mask):
-            if j > i and colors[j] == ci:
-                return False
+    classes: Dict[object, int] = {}
+    for i, (mask, c) in enumerate(zip(g.adjacency, colors)):
+        members = classes.get(c, 0)
+        if mask & members:
+            return False
+        classes[c] = members | 1 << i
     return True
 
 
 def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
     """Maximal independent set via the minimum-degree greedy heuristic.
 
-    Ties in minimum degree go to the lexicographically smallest vertex.
-    The result meets the Turan guarantee |V| / (avg degree + 1).
+    Each step takes a vertex of minimum degree among those left, the
+    smallest one on a tie, and removes it with its neighbors.  The result
+    meets the Turan guarantee |V| / (avg degree + 1).  The vertices are
+    kept in a bucket queue: bucket d is the bitmask of those with d
+    neighbors left, and only the neighbors of removed vertices have their
+    degree recounted.
     """
     adj = g.adjacency
     alive = (1 << len(adj)) - 1
+    left = [mask.bit_count() for mask in adj]
+    buckets = [0] * (max(left, default=0) + 1)
+    for i, d in enumerate(left):
+        buckets[d] |= 1 << i
     chosen: List[int] = []
+    d = 0
     while alive:
-        best_i = -1
-        best_d = -1
-        for i in _iter_bits(alive):
-            d = (adj[i] & alive).bit_count()
-            if best_i < 0 or d < best_d:
-                best_i, best_d = i, d
-        chosen.append(best_i)
-        alive &= ~(adj[best_i] | (1 << best_i))
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        i = low.bit_length() - 1
+        chosen.append(i)
+        removed = adj[i] & alive | low
+        alive ^= removed
+        touched = 0
+        for j in _iter_bits(removed):
+            buckets[left[j]] ^= 1 << j
+            touched |= adj[j]
+        for j in _iter_bits(touched & alive):
+            now = (adj[j] & alive).bit_count()
+            if now != left[j]:
+                bit = 1 << j
+                buckets[left[j]] ^= bit
+                buckets[now] |= bit
+                left[j] = now
+                d = min(d, now)
     return {g.vertices[i] for i in chosen}
 
 

@@ -43,6 +43,55 @@ def string_supersequences(w, t):
     return level
 
 
+def reference_greedy(words, s):
+    """Library-free reference: the minimum-degree greedy independent set.
+
+    ``words`` are equal-length plain strings in ascending order, adjacent
+    when they share a subsequence of s fewer symbols.  Each step rescans
+    the words left and takes the first one with the fewest neighbors left.
+    """
+    balls = {w: string_subsequences(w, len(w) - s) for w in words}
+    adjacent = {w: {u for u in words if u != w and not balls[w].isdisjoint(balls[u])}
+                for w in words}
+    left, chosen = list(words), set()
+    while left:
+        alive = set(left)
+        w = min(left, key=lambda u: len(adjacent[u] & alive))
+        chosen.add(w)
+        left = [u for u in left if u != w and u not in adjacent[w]]
+    return chosen
+
+
+def grouped_cliques(values, n, s):
+    """Reference grouping: index lists of the packed n-symbol words by shared s-deletion.
+
+    Each word's deletion ball is built position by position, and the words
+    are grouped by the members of their balls; the groups of two or more
+    are returned, each in ascending index order.
+    """
+    def delete(v, m, i):
+        return (v >> (m - i)) << (m - 1 - i) | v & ((1 << (m - 1 - i)) - 1)
+
+    groups = {}
+    for i, v in enumerate(values):
+        ball = {v}
+        for m in range(n, n - s, -1):
+            ball = {delete(w, m, p) for w in ball for p in range(m)}
+        for z in ball:
+            groups.setdefault(z, []).append(i)
+    return [idxs for idxs in groups.values() if len(idxs) > 1]
+
+
+def grouped_adjacency(values, n, s):
+    """Reference adjacency masks: the OR of the groups of :func:`grouped_cliques`."""
+    adj = [0] * len(values)
+    for idxs in grouped_cliques(values, n, s):
+        mask = sum(1 << i for i in idxs)
+        for i in idxs:
+            adj[i] |= mask
+    return [mask & ~(1 << i) for i, mask in enumerate(adj)]
+
+
 @pytest.fixture(scope="session")
 def cached_graph():
     """Session-wide memoized graph builder; graphs are immutable."""

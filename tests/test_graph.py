@@ -1,5 +1,6 @@
 """Tests for graph construction, degree bounds, independent sets, and witnesses."""
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -42,9 +43,16 @@ from delcodes.graph import (
     _degeneracy_order,
     _exact_engine,
     _highs_mis,
+    _supersequence_cliques,
 )
 
-from conftest import _graph as G, string_words
+from conftest import (
+    _graph as G,
+    grouped_adjacency,
+    grouped_cliques,
+    reference_greedy,
+    string_words,
+)
 
 B = BitString
 
@@ -63,6 +71,20 @@ def brute_force_mis_size(g):
         return max(without, with_i)
 
     return rec((1 << len(adj)) - 1)
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+# Graph-scan-sized graphs: (s, n, layer), (max degree, edges, greedy size) and
+# sha256 prefixes of the adjacency masks and of the greedy set.
+SCAN_GRAPHS = [
+    ((2, 12, None), (1143, 1460525, 32), "7e37d446dc373d85", "c905c516f764c1fc"),
+    ((3, 11, None), (1721, 1318893, 8), "c8ee856137f87c0d", "12f944766570be0d"),
+    ((1, 14, 7), (68, 80505, 285), "839090d9be8c93eb", "e15e6d1e7692eb51"),
+    ((2, 13, 6), (550, 316634, 23), "39b1e84fc6b47733", "286a05c4c815ac90"),
+]
 
 
 class TestBuildGraph:
@@ -134,6 +156,35 @@ class TestBuildGraph:
             expected = sum(1 << j for j, other in enumerate(balls)
                            if j != i and not ball.isdisjoint(other))
             assert g.adjacency[i] == expected
+
+    def test_matches_deletion_ball_grouping(self):
+        # every graph with n <= 10 against the per-vertex grouping by ball members
+        for n in range(11):
+            for s in range(n + 1):
+                for layer in [None, *range(n + 1)]:
+                    g = build_graph(s, n, layer)
+                    values = [v.value for v in g.vertices]
+                    assert list(g.adjacency) == grouped_adjacency(values, n, s), (s, n, layer)
+
+    @pytest.mark.parametrize("params, stats, adjacency, greedy", SCAN_GRAPHS,
+                             ids=[str(p[0]) for p in SCAN_GRAPHS])
+    def test_graph_scan_sized_graphs(self, params, stats, adjacency, greedy):
+        g = build_graph(*params)
+        max_deg, _, edges = degree_stats(g)
+        chosen = greedy_mis(g)
+        assert (max_deg, edges, len(chosen)) == stats
+        assert digest(format(mask, "x") for mask in g.adjacency) == adjacency
+        assert digest(sorted(str(v) for v in chosen)) == greedy
+
+    @pytest.mark.parametrize("s, n, layer", [(1, 8, None), (1, 10, 4)])
+    def test_supersequence_cliques_match_grouping(self, s, n, layer):
+        # the rows of the HiGHS model are the groups of two or more, as sets
+        values = [v.value for v in G(s, n, layer).vertices]
+        rows = _supersequence_cliques(values, n, s)
+        expected = grouped_cliques(values, n, s)
+        assert len(rows) == len(expected)
+        assert {frozenset(r) for r in rows} == {frozenset(r) for r in expected}
+        assert all(r == sorted(r) for r in rows)
 
     def test_layer_edges_induced_from_full_graph(self):
         for n in (4, 6):
@@ -216,8 +267,24 @@ class TestVerifyColoring:
     def test_partial_coloring_rejected(self):
         g = G(1, 4)
         partial = {x: vt_weight(x) for x in g.vertices[:-1]}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing vertex 1111"):
             verify_coloring(g, partial)
+
+    def test_only_conflict_between_two_highest_vertices(self):
+        g = G(1, 10, 3)  # sparse: 120 vertices, average degree under 18
+        *_, x, y = g.vertices
+        assert g.has_edge(x, y)
+        distinct = {v: i for i, v in enumerate(g.vertices)}
+        assert verify_coloring(g, distinct)
+        assert not verify_coloring(g, {**distinct, y: distinct[x]})
+        assert not verify_coloring(g, {v: f"c{i}" for v, i in {**distinct, y: distinct[x]}.items()})
+
+    def test_any_hashable_labels(self):
+        # the VT coloring relabeled: spread out, negative, and as strings
+        g = G(1, 8)
+        for label in (lambda c: 10 * c + 3, lambda c: -c - 1, lambda c: f"class-{c}"):
+            assert verify_coloring(g, {x: label(vt_weight(x)) for x in g.vertices})
+        assert not verify_coloring(g, {x: f"class-{vt_weight(x) % 3}" for x in g.vertices})
 
 
 class TestGreedyMis:
@@ -236,6 +303,16 @@ class TestGreedyMis:
     def test_examples(self):
         assert len(greedy_mis(G(1, 8))) >= 7
         assert len(greedy_mis(G(1, 4, 2))) >= 2
+
+    def test_matches_reference_greedy(self):
+        # the same set as the plain rescan, so the same tie-break, on every
+        # graph with n <= 8
+        for n in range(9):
+            for s in range(n + 1):
+                for layer in [None, *range(n + 1)]:
+                    words = string_words(n, layer)
+                    chosen = {str(v) for v in greedy_mis(G(s, n, layer))}
+                    assert chosen == reference_greedy(words, s), (s, n, layer)
 
     def test_maximal(self):
         g = G(1, 6)
@@ -345,11 +422,15 @@ class TestExactMis:
         )
         script = (
             "import sys\n"
-            "from delcodes import build_graph, exact_mis\n"
+            "from delcodes import (build_graph, exact_mis, greedy_mis, verify_coloring,\n"
+            "                      verify_independent, vt_weight)\n"
             "assert len(exact_mis(build_graph(2, 8, 4))) == 4\n"
             "assert len(exact_mis(build_graph(0, 10))) == 1024\n"
             "assert len(exact_mis(build_graph(1, 7))) == 16\n"
             "assert len(exact_mis(build_graph(1, 10, 3))) == 16\n"
+            "g = build_graph(1, 12, 5)\n"
+            "assert verify_independent(g, greedy_mis(g))\n"
+            "assert verify_coloring(g, {x: vt_weight(x) for x in g.vertices})\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
         )
         result = subprocess.run([sys.executable, "-c", script], env=env,
