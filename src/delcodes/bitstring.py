@@ -11,8 +11,14 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 MAX_LENGTH = 63
+# Largest n whose words are enumerated all at once (2^22 of them).
+MAX_LAYER_N = 22
 
 BitsLike = Union[str, Iterable[int], "BitString"]
+
+
+class CapacityError(ValueError):
+    """Raised when a request exceeds the resource guardrails."""
 
 
 class BitString:
@@ -142,6 +148,8 @@ def weight(x: BitString) -> int:
 
 def _word_values(n: int, k: Optional[int] = None) -> Sequence[int]:
     """Packed values of all n-symbol words, or of the weight-k ones, ascending."""
+    if n > MAX_LAYER_N:
+        raise CapacityError(f"word enumeration limited to n <= {MAX_LAYER_N}, got n={n}")
     if k is None:
         return range(1 << n)
     return [v for v in range(1 << n) if v.bit_count() == k]
@@ -165,11 +173,18 @@ def _single_deletions(v: int, n: int) -> List[int]:
     return out
 
 
-def _insert_value(v: int, n: int, i: int, bit: int) -> int:
-    """Insert bit before position i (i == n appends) in an n-symbol word."""
-    high = v >> (n - i)
-    low = v & ((1 << (n - i)) - 1)
-    return (high << (n - i + 1)) | (bit << (n - i)) | low
+def _single_insertions(v: int, n: int) -> List[int]:
+    """The n + 2 distinct words made by inserting one symbol into an n-symbol word.
+
+    An inserted symbol can be moved left through the run it joins, so each
+    result is one symbol inserted at the front, or the complement of a
+    symbol inserted right after it.
+    """
+    out = [v, v | 1 << n]
+    for k in range(n):
+        low = 1 << k
+        out.append((v & -low) << 1 | low & ~v | v & (low - 1))
+    return out
 
 
 def _delete_values(v: int, n: int, s: int) -> Set[int]:
@@ -180,17 +195,11 @@ def _delete_values(v: int, n: int, s: int) -> Set[int]:
     return level
 
 
-def _insert_values(v: int, n: int, s: int) -> Set[int]:
-    """All distinct results of s insertions, as packed values of length n+s."""
-    level = {v}
-    for step in range(s):
-        m = n + step
-        nxt = set()
-        for w in level:
-            for i in range(m + 1):
-                nxt.add(_insert_value(w, m, i, 0))
-                nxt.add(_insert_value(w, m, i, 1))
-        level = nxt
+def _insert_values(words: Iterable[int], n: int, s: int) -> Set[int]:
+    """All distinct results of s insertions into n-symbol words, as packed values."""
+    level = set(words)
+    for m in range(n, n + s):
+        level = {y for w in level for y in _single_insertions(w, m)}
     return level
 
 
@@ -209,7 +218,7 @@ def insert_all(x: BitString, s: int) -> Set[BitString]:
     n = len(x)
     if n + s > MAX_LENGTH:
         raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
-    return {BitString.from_value(v, n + s) for v in _insert_values(x.value, n, s)}
+    return {BitString.from_value(v, n + s) for v in _insert_values((x.value,), n, s)}
 
 
 def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
@@ -265,8 +274,6 @@ def confusable_set(x: BitString, s: int) -> Set[BitString]:
     n = len(x)
     if not 0 <= s <= n:
         raise ValueError(f"deletion count {s} out of range 0..{n}")
-    out = set()
-    for zv in _delete_values(x.value, n, s):
-        out.update(_insert_values(zv, n - s, s))
+    out = _insert_values(_delete_values(x.value, n, s), n - s, s)
     out.discard(x.value)
     return {BitString.from_value(v, n) for v in out}

@@ -319,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RuntimeError as exc:  # exhausted budget or a failed solve
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, CapacityError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

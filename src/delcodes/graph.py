@@ -15,8 +15,9 @@ back ORs these into the vertices, taking one single deletion per run at
 each step.  The equivalence with the pairwise-distance definition is
 exercised by the test suite.
 
-The greedy independent set keeps its vertices in a bucket queue by degree,
-and a coloring is checked with one vertex mask per color class.
+One minimum-degree peel on a bucket queue gives both the greedy
+independent set and the degeneracy order of the exact search, and a
+coloring is checked with one vertex mask per color class.
 
 The exact solver has two engines, chosen by edge density and size.  Dense
 graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
@@ -35,8 +36,10 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .bitstring import (
-    BitString,
+    MAX_LAYER_N,
     MAX_LENGTH,
+    BitString,
+    CapacityError,
     _single_deletions,
     _word_values,
     insert_all,
@@ -46,7 +49,6 @@ from .bitstring import (
 from .counting import weighted_insertion_count
 
 MAX_FULL_N = 16
-MAX_LAYER_N = 22
 DEFAULT_NODE_BUDGET = 10**8
 # Edge density (edges over vertex pairs) from which exact_mis runs the clique
 # search on a graph of any size.  On sparser graphs the clique partition
@@ -59,10 +61,6 @@ DEFAULT_NODE_BUDGET = 10**8
 # takes 5.6 s against 0.8 s, and L(1,8) passes 200k nodes against 3.2 s.
 _CLIQUE_SEARCH_MIN_DENSITY = Fraction(1, 5)
 _CLIQUE_SEARCH_MAX_SPARSE_VERTICES = 128
-
-
-class CapacityError(ValueError):
-    """Raised when a request exceeds the resource guardrails."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -180,11 +178,8 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     if layer is None:
         if n > MAX_FULL_N:
             raise CapacityError(f"full graph limited to n <= {MAX_FULL_N}, got n={n}")
-    else:
-        if not 0 <= layer <= n:
-            raise ValueError(f"layer weight {layer} out of range 0..{n}")
-        if n > MAX_LAYER_N:
-            raise CapacityError(f"layer graph limited to n <= {MAX_LAYER_N}, got n={n}")
+    elif not 0 <= layer <= n:
+        raise ValueError(f"layer weight {layer} out of range 0..{n}")
     vert_values = _word_values(n, layer)
 
     keys, level = _deletion_levels(vert_values, n, s)
@@ -256,31 +251,29 @@ def verify_coloring(g: ConfusabilityGraph, coloring: Mapping[BitString, int]) ->
     return True
 
 
-def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
-    """Maximal independent set via the minimum-degree greedy heuristic.
+def _min_degree_peel(adj: Sequence[int], drop: Sequence[int]) -> List[int]:
+    """Indices of the vertices taken, in order, by a minimum-degree peel.
 
-    Each step takes a vertex of minimum degree among those left, the
-    smallest one on a tie, and removes it with its neighbors.  The result
-    meets the Turan guarantee |V| / (avg degree + 1).  The vertices are
-    kept in a bucket queue: bucket d is the bitmask of those with d
-    neighbors left, and only the neighbors of removed vertices have their
-    degree recounted.
+    Each step takes the live vertex with the fewest live neighbors in
+    ``adj``, the smallest index on a tie, and removes it with its live
+    members of ``drop[i]``.  The vertices are kept in a bucket queue:
+    bucket d is the bitmask of those with d live neighbors, and only the
+    neighbors of removed vertices have their count redone.
     """
-    adj = g.adjacency
     alive = (1 << len(adj)) - 1
     left = [mask.bit_count() for mask in adj]
     buckets = [0] * (max(left, default=0) + 1)
     for i, d in enumerate(left):
         buckets[d] |= 1 << i
-    chosen: List[int] = []
+    taken: List[int] = []
     d = 0
     while alive:
         while not buckets[d]:
             d += 1
         low = buckets[d] & -buckets[d]
         i = low.bit_length() - 1
-        chosen.append(i)
-        removed = adj[i] & alive | low
+        taken.append(i)
+        removed = drop[i] & alive | low
         alive ^= removed
         touched = 0
         for j in _iter_bits(removed):
@@ -294,7 +287,19 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
                 buckets[now] |= bit
                 left[j] = now
                 d = min(d, now)
-    return {g.vertices[i] for i in chosen}
+    return taken
+
+
+def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
+    """Maximal independent set via the minimum-degree greedy heuristic.
+
+    Each step takes a vertex of minimum degree among those left, the
+    smallest one on a tie, and removes it with its neighbors: the
+    :func:`_min_degree_peel` of g that drops each taken vertex's
+    neighbors.  The result meets the Turan guarantee
+    |V| / (avg degree + 1).
+    """
+    return {g.vertices[i] for i in _min_degree_peel(g.adjacency, g.adjacency)}
 
 
 def exact_mis(g: ConfusabilityGraph,
@@ -346,36 +351,13 @@ def _exact_engine(g: ConfusabilityGraph) -> str:
 def _degeneracy_order(adjacency: Sequence[int]) -> List[int]:
     """Vertex indices in a degeneracy order of the complement.
 
-    Repeatedly removes the vertex with the fewest non-neighbors among those
-    left (the smallest index on a tie) and numbers the removed vertices
-    from the end, so the last one removed comes first.  The vertices are
-    kept in a bucket queue: bucket d is the bitmask of those with d
-    non-neighbors left.
+    The :func:`_min_degree_peel` of the complement that removes one vertex
+    per step, the one with the fewest non-neighbors left (the smallest
+    index on a tie), reversed so the last one removed comes first.
     """
-    v = len(adjacency)
-    alive = (1 << v) - 1
-    apart = [alive & ~(mask | 1 << i) for i, mask in enumerate(adjacency)]
-    left = [mask.bit_count() for mask in apart]
-    buckets = [0] * v
-    for i, d in enumerate(left):
-        buckets[d] |= 1 << i
-    order = [0] * v
-    d = 0
-    for p in range(v - 1, -1, -1):
-        while not buckets[d]:
-            d += 1
-        low = buckets[d] & -buckets[d]
-        i = low.bit_length() - 1
-        buckets[d] ^= low
-        alive ^= low
-        order[p] = i
-        for j in _iter_bits(apart[i] & alive):
-            bit = 1 << j
-            buckets[left[j]] ^= bit
-            left[j] -= 1
-            buckets[left[j]] |= bit
-        d = max(d - 1, 0)
-    return order
+    full = (1 << len(adjacency)) - 1
+    apart = [full & ~(mask | 1 << i) for i, mask in enumerate(adjacency)]
+    return _min_degree_peel(apart, [0] * len(apart))[::-1]
 
 
 def _clique_search_mis(g: ConfusabilityGraph,
@@ -407,9 +389,9 @@ def _clique_search_mis(g: ConfusabilityGraph,
             mask |= 1 << position[j]
         apart.append(full & ~mask)
 
-    greedy = greedy_mis(g)
+    greedy = _min_degree_peel(adj, adj)
     best_size = len(greedy)
-    best = sum(1 << position[g.index_of(x)] for x in greedy)
+    best = sum(1 << position[i] for i in greedy)
     nodes = 0
 
     def expand(cand: int, chosen: int, size: int) -> bool:

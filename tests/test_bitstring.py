@@ -15,11 +15,13 @@ from delcodes import (
     deletion_distance,
     insert_all,
     insert_all_weighted,
+    insertion_count,
     lcs_length,
     weight,
 )
+from delcodes.bitstring import _single_insertions
 
-from conftest import string_subsequences, string_words
+from conftest import string_subsequences, string_supersequences, string_words
 
 B = BitString
 
@@ -120,6 +122,19 @@ class TestInsertAll:
     def test_size_independent_of_base_string(self):
         # every length-3 base gives exactly 5 supersequences
         assert all(len(insert_all(x, 1)) == 5 for x in all_words(3))
+
+    def test_single_insertions_match_string_reference(self):
+        for n in range(9):
+            for w in string_words(n):
+                out = _single_insertions(B(w).value, n)
+                assert len(set(out)) == len(out) == n + 2
+                assert {str(B.from_value(v, n + 1)) for v in out} == string_supersequences(w, 1)
+
+    def test_top_length(self):
+        # both insertions land on the 63rd symbol, the top bit of the packing
+        out = insert_all(B("01" * 30 + "0"), 2)
+        assert len(out) == insertion_count(2, 63)
+        assert all(len(y) == MAX_LENGTH for y in out)
 
     def test_length_overflow(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from delcodes import (
     BitString,
+    CapacityError,
     best_segment_clique,
     chromatic_certificate,
     chromatic_lower_bound,
@@ -97,6 +98,15 @@ class TestVtCode:
             classes = string_classes(n)
             for a in range(n + 1):
                 assert [str(w) for w in vt_code(n, a).words] == classes.get(a, [])
+
+
+def test_word_enumeration_capacity():
+    # every construction that lists all 2^n words refuses n above the cap
+    # before enumerating any of them
+    for build in (lambda: vt_code(23, 0), lambda: layer_code(23, 11),
+                  lambda: chromatic_certificate(23), lambda: two_stage_coloring(23, 1)):
+        with pytest.raises(CapacityError, match="n <= 22"):
+            build()
 
 
 class TestModifiedVtWeight:
