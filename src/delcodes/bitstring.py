@@ -8,10 +8,12 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 MAX_LENGTH = 63
-# Largest n whose words are enumerated all at once (2^22 of them).
+# Largest n whose words are enumerated all at once (2^22 of them); 2^22 also
+# caps the words insert_all returns.
 MAX_LAYER_N = 22
 
 BitsLike = Union[str, Iterable[int], "BitString"]
@@ -218,6 +220,12 @@ def insert_all(x: BitString, s: int) -> Set[BitString]:
     n = len(x)
     if n + s > MAX_LENGTH:
         raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
+    # Every length-n word has the same number of supersequences.
+    size = sum(math.comb(n + s, i) for i in range(s + 1))
+    if size > 1 << MAX_LAYER_N:
+        raise CapacityError(
+            f"supersequences limited to 2^{MAX_LAYER_N} words, got {size} for n={n}, s={s}"
+        )
     return {BitString.from_value(v, n + s) for v in _insert_values((x.value,), n, s)}
 
 
@@ -230,31 +238,22 @@ def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
 
 
 def lcs_length(x: BitString, y: BitString) -> int:
-    """Length of a longest common subsequence, by the standard DP recurrence."""
-    return _lcs_values(x.value, len(x), y.value, len(y))
+    """Length of a longest common subsequence, by the bit-vector recurrence of
+    Crochemore, Iliopoulos, Pinzon and Reid ("A fast and practical bit-vector
+    algorithm for the longest common subsequence problem", IPL 2001).
 
-
-def _lcs_values(xv: int, xn: int, yv: int, yn: int) -> int:
-    if xn == 0 or yn == 0:
-        return 0
-    xb = [(xv >> (xn - 1 - i)) & 1 for i in range(xn)]
-    yb = [(yv >> (yn - 1 - j)) & 1 for j in range(yn)]
-    prev = [0] * (yn + 1)
-    for xi in xb:
-        curr = [0]
-        append = curr.append
-        best = 0
-        row = prev
-        for j, yj in enumerate(yb):
-            if xi == yj:
-                cand = row[j] + 1
-            else:
-                cand = row[j + 1]
-            if cand > best:
-                best = cand
-            append(best)
-        prev = curr
-    return prev[yn]
+    The packed value of y is the bit vector: each symbol of x costs one
+    and, add and or over all of y, and the zeros left in v count the LCS.
+    """
+    full = (1 << len(y)) - 1
+    match = (full & ~y.value, y.value)
+    v = full
+    # Bit j holds symbol len - 1 - j, so reading x from bit 0 and carrying
+    # upward through y computes the LCS of both words reversed: the same number.
+    for i in range(len(x)):
+        u = v & match[x.value >> i & 1]
+        v = (v + u | v - u) & full
+    return len(y) - v.bit_count()
 
 
 def deletion_distance(x: BitString, y: BitString) -> int:

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from . import codes as codes_mod
 from . import counting, graph as graph_mod
-from .bitstring import BitString, _word_values, delete_all, insert_all
+from .bitstring import MAX_LENGTH, BitString, _word_values, delete_all, insert_all
 from .codes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
@@ -135,6 +135,8 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, s = args.n, args.s
+    if n > MAX_LENGTH:
+        raise CapacityError(f"bounds limited to n <= {MAX_LENGTH}, got n={n}")
     # Every value is computed before any is printed, so a usage error
     # leaves no partial report on stdout.
     lines = [

@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .bitstring import (
-    MAX_LAYER_N,
     MAX_LENGTH,
     BitString,
     CapacityError,
@@ -48,7 +47,9 @@ from .bitstring import (
 )
 from .counting import weighted_insertion_count
 
-MAX_FULL_N = 16
+# Adjacency masks take memory quadratic in the vertex count: L(1, 16), with
+# 2^16 vertices, peaks near 1 GB.
+MAX_VERTICES = 1 << 16
 DEFAULT_NODE_BUDGET = 10**8
 # Edge density (edges over vertex pairs) from which exact_mis runs the clique
 # search on a graph of any size.  On sparser graphs the clique partition
@@ -175,11 +176,13 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     """
     if not 0 <= s <= n:
         raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
-    if layer is None:
-        if n > MAX_FULL_N:
-            raise CapacityError(f"full graph limited to n <= {MAX_FULL_N}, got n={n}")
-    elif not 0 <= layer <= n:
+    if layer is not None and not 0 <= layer <= n:
         raise ValueError(f"layer weight {layer} out of range 0..{n}")
+    if n > MAX_LENGTH:
+        raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
+    size = 1 << n if layer is None else math.comb(n, layer)
+    if size > MAX_VERTICES:
+        raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
     vert_values = _word_values(n, layer)
 
     keys, level = _deletion_levels(vert_values, n, s)

@@ -43,6 +43,17 @@ def string_supersequences(w, t):
     return level
 
 
+def string_lcs(x, y):
+    """Library-free reference: the length of a longest common subsequence, by the row DP."""
+    prev = [0] * (len(y) + 1)
+    for a in x:
+        row = [0]
+        for j, b in enumerate(y):
+            row.append(prev[j] + 1 if a == b else max(prev[j + 1], row[j]))
+        prev = row
+    return prev[-1]
+
+
 def reference_greedy(words, s):
     """Library-free reference: the minimum-degree greedy independent set.
 

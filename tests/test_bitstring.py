@@ -1,6 +1,7 @@
 """Unit and property tests for the bit-string algebra."""
 
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from delcodes import (
     BitString,
+    CapacityError,
     MAX_LENGTH,
     common_substrings,
     confusable_set,
@@ -21,7 +23,7 @@ from delcodes import (
 )
 from delcodes.bitstring import _single_insertions
 
-from conftest import string_subsequences, string_supersequences, string_words
+from conftest import string_lcs, string_subsequences, string_supersequences, string_words
 
 B = BitString
 
@@ -142,6 +144,15 @@ class TestInsertAll:
         with pytest.raises(ValueError):
             insert_all(B("0"), -1)
 
+    def test_result_size_cap(self):
+        # sum(C(n + s, i) for i <= s) words: 2^23 - 1, and about 1.1e14
+        for x, s in ((B("0"), 22), (B("0" * 30), 20)):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match="2\\^22"):
+                insert_all(x, s)
+            assert time.perf_counter() - start < 1
+        assert len(insert_all(B("0"), 10)) == 2**11 - 1
+
 
 class TestInsertAllWeighted:
     def test_examples(self):
@@ -174,6 +185,28 @@ class TestLcsAndDistance:
         assert lcs_length(B("01"), B("10")) == 1
         assert lcs_length(B("0110"), B("0110")) == 4
         assert lcs_length(B("0000"), B("1111")) == 0
+
+    def test_lcs_matches_string_reference_exhaustive(self):
+        words = [w for n in range(8) for w in string_words(n)]
+        assert len(words) ** 2 == 65_025
+        for x in words:
+            bx = B(x)
+            for y in words:
+                assert lcs_length(bx, B(y)) == string_lcs(x, y), (x, y)
+
+    def test_lcs_matches_string_reference_long(self):
+        rng = random.Random(17)
+        pairs = [("0" * 63, "1" * 63), ("01" * 31 + "0", "10" * 31 + "1")]
+        for w in ("0" * 63, "1" * 63, "01" * 31 + "0", "10" * 31 + "1"):
+            pairs += [(w, w), (w, w[:-1]), (w, "")]
+        for _ in range(10_000):
+            pairs.append(tuple(
+                "".join(rng.choice("01") for _ in range(rng.randrange(64)))
+                for _ in range(2)
+            ))
+        for x, y in pairs:
+            expected = string_lcs(x, y)
+            assert lcs_length(B(x), B(y)) == lcs_length(B(y), B(x)) == expected, (x, y)
 
     def test_distance_examples(self):
         assert deletion_distance(B("01"), B("10")) == 2

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -170,6 +171,15 @@ class TestGraph:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_layer_vertex_cap(self, capsys):
+        # C(20, 10) = 184,756 vertices
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "graph", "--s", "1", "--n", "20", "--k", "10")
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and "65536" in err
+        assert out == ""
+
 
 class TestAlpha:
     def test_exact_small(self, capsys):
@@ -257,6 +267,20 @@ class TestBounds:
         assert fields["penalty_ratio"] == "9/8"
         assert "vt_size_a0" not in fields
 
+    @pytest.mark.parametrize("n", ["64", "800"])
+    def test_length_cap(self, capsys, n):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "bounds", "--n", n, "--s", "2")
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and "63" in err
+        assert out == ""
+
+    def test_top_length(self, capsys):
+        rc, out, _ = run(capsys, "bounds", "--n", "63", "--s", "31")
+        assert rc == 0
+        assert parse_report(out)["n"] == "63"
+
     @pytest.mark.parametrize("s", ["5", "-1"])
     def test_usage_error_prints_no_partial_report(self, capsys, s):
         rc, out, err = run(capsys, "bounds", "--s", s, "--n", "3")
@@ -297,6 +321,15 @@ class TestWitness:
             "# kind=imperfect s=1 n=5",
             "01100", "00110", "00011", "00001", "01000",
         ]
+
+    def test_substring_clique_size_cap(self, capsys):
+        # 2^31 - 1 supersequences of a one-symbol word
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "witness", "--kind", "clique", "--z", "0", "--s", "30")
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and "2^22" in err
+        assert out == ""
 
     def test_missing_parameters(self, capsys):
         rc, _, err = run(capsys, "witness", "--kind", "clique", "--s", "1")

@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -122,6 +123,17 @@ class TestBuildGraph:
             build_graph(3, 2)
         with pytest.raises(ValueError):
             build_graph(1, 4, 5)
+
+    @pytest.mark.parametrize("s, n, layer, message", [
+        (1, 19, 9, "65536 vertices"),  # C(19, 9) = 92,378
+        (2, 20, 10, "65536 vertices"),  # C(20, 10) = 184,756
+        (1, 10**6, 5 * 10**5, "exceeds 63"),  # too long to count the vertices
+    ])
+    def test_vertex_cap_refuses_before_enumerating(self, s, n, layer, message):
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match=message):
+            build_graph(s, n, layer)
+        assert time.perf_counter() - start < 1
 
     def test_index_of_unknown_vertex(self):
         with pytest.raises(ValueError):
