@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 MAX_LENGTH = 63
 # Largest n whose words are enumerated all at once (2^22 of them); 2^22 also
-# caps the words insert_all returns.
+# caps the words insert_all and insert_all_weighted return.
 MAX_LAYER_N = 22
 
 BitsLike = Union[str, Iterable[int], "BitString"]
@@ -229,12 +229,50 @@ def insert_all(x: BitString, s: int) -> Set[BitString]:
     return {BitString.from_value(v, n + s) for v in _insert_values((x.value,), n, s)}
 
 
+def _binom(n: int, k: int) -> int:
+    # C(n, k) with out-of-range k giving 0; the sum below relies on this.
+    if k < 0 or k > n or n < 0:
+        return 0
+    return math.comb(n, k)
+
+
+def _weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
+    """Number of length-n weight-k supersequences of a length-(n-s), weight-(k-r) word.
+
+    The closed form of :func:`delcodes.counting.weighted_insertion_count`,
+    kept here so that :func:`insert_all_weighted` can size its result
+    before listing it.
+    """
+    return sum(
+        _binom(k + s - 2 * r, s - r - i) * _binom(n - k - s + 2 * r, r - i)
+        for i in range(min(r, s - r) + 1)
+    )
+
+
 def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
-    """Supersequences of x produced by inserting r ones and s-r zeros."""
+    """Supersequences of x produced by inserting r ones and s-r zeros.
+
+    Built one insertion at a time, keeping at each step only the words
+    with at most r inserted ones and at most s-r inserted zeros, so no
+    supersequence of another weight is ever listed.
+    """
     if not 0 <= r <= s:
         raise ValueError(f"one-insertion count {r} out of range 0..{s}")
-    target = weight(x) + r
-    return {y for y in insert_all(x, s) if weight(y) == target}
+    n, w = len(x), weight(x)
+    if n + s > MAX_LENGTH:
+        raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
+    size = _weighted_insertion_count(s, r, n + s, w + r)
+    if size > 1 << MAX_LAYER_N:
+        raise CapacityError(
+            f"supersequences limited to 2^{MAX_LAYER_N} words, got {size} "
+            f"for n={n}, s={s}, r={r}"
+        )
+    level = {x.value}
+    for m in range(n, n + s):
+        # y has m + 1 - n inserted symbols, `ones` of them ones
+        level = {y for u in level for y in _single_insertions(u, m)
+                 if (ones := y.bit_count() - w) <= r and m + 1 - n - ones <= s - r}
+    return {BitString.from_value(v, n + s) for v in level}
 
 
 def lcs_length(x: BitString, y: BitString) -> int:

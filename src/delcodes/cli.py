@@ -125,7 +125,10 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     optimal = args.method == "exact" and not exhausted
     print(f"method={args.method}")
     if args.method == "exact":
-        print(f"engine={graph_mod._exact_engine(g)}")
+        engine = graph_mod._exact_engine(g)
+        print(f"engine={engine}")
+        if engine == "clique-search":
+            print(f"order={graph_mod._clique_order(g)}")
     print(f"size={len(result)}")
     print(f"optimal={'true' if optimal else 'false'}")
     for v in sorted(result):

@@ -12,18 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitstring import BitString, weight
+from .bitstring import BitString, _weighted_insertion_count, weight
 
 
 class EncodingError(ValueError):
     """Raised when an insertion encoding is structurally invalid for a base word."""
-
-
-def _binom(n: int, k: int) -> int:
-    # C(n, k) with out-of-range k giving 0; the sums below rely on this.
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
 
 
 def insertion_count(s: int, n: int) -> int:
@@ -42,10 +35,7 @@ def weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
         raise ValueError(f"require 0 <= r <= s <= n, got r={r}, s={s}, n={n}")
     if not r <= k <= n - s + r:
         raise ValueError(f"require r <= k <= n-s+r, got r={r}, k={k}, n-s+r={n - s + r}")
-    return sum(
-        _binom(k + s - 2 * r, s - r - i) * _binom(n - k - s + 2 * r, r - i)
-        for i in range(min(r, s - r) + 1)
-    )
+    return _weighted_insertion_count(s, r, n, k)
 
 
 @dataclass(frozen=True)

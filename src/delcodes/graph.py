@@ -15,16 +15,19 @@ back ORs these into the vertices, taking one single deletion per run at
 each step.  The equivalence with the pairwise-distance definition is
 exercised by the test suite.
 
-One minimum-degree peel on a bucket queue gives both the greedy
-independent set and the degeneracy order of the exact search, and a
-coloring is checked with one vertex mask per color class.
+A minimum-degree peel on a bucket queue gives the greedy independent set,
+a maximum-degree peel in O(V + E) the degeneracy order of the exact
+search, and a coloring is checked with one vertex mask per color class.
 
 The exact solver has two engines, chosen by edge density and size.  Dense
 graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
 at most 128 vertices are searched in pure Python as a maximum clique of
-the complement.  Larger sparse graphs go to HiGHS through scipy, with the
-supersequence cliques as constraint rows; scipy is imported only then.
-The node budget counts the search nodes of whichever engine runs.
+the complement: Tomita et al.'s MCS, with greedy clique-partition bounds
+and the Re-NUMBER step, in the degeneracy order of the complement below
+edge density 3/10 and by ascending degree from it on.  Larger sparse
+graphs go to HiGHS through scipy, with the supersequence cliques as
+constraint rows; scipy is imported only then.  The node budget counts the
+search nodes of whichever engine runs.
 """
 
 from __future__ import annotations
@@ -56,12 +59,17 @@ DEFAULT_NODE_BUDGET = 10**8
 # bound is weak and the LP over the supersequence cliques is strong, so they
 # go to HiGHS once they have more than _CLIQUE_SEARCH_MAX_SPARSE_VERTICES
 # vertices.  Up to that size the clique search, in degeneracy order, is
-# 2.5-10x faster than HiGHS on each sparse graph with s >= 1 and n <= 16
-# (up to mirror layers, L(1,7), L(1,9) layer 4 and L(1,10) layer 3: about
-# 0.1 s each against 0.2-0.9 s).  Above it, L(1,11) layer 3 (165 vertices)
-# takes 5.6 s against 0.8 s, and L(1,8) passes 200k nodes against 3.2 s.
+# faster than HiGHS on each sparse graph with s >= 1 and n <= 16 (up to
+# mirror layers, L(1,7), L(1,9) layer 4 and L(1,10) layer 3: 40-65 ms each
+# against 0.2-0.9 s).  Above it, L(1,11) layer 3 (165 vertices) takes 2.4 s
+# against 0.8 s, and L(1,8) passes 300k nodes against 3.2 s.
 _CLIQUE_SEARCH_MIN_DENSITY = Fraction(1, 5)
 _CLIQUE_SEARCH_MAX_SPARSE_VERTICES = 128
+# Edge density below which the clique search numbers the vertices in the
+# degeneracy order of the complement rather than by ascending degree.  Just
+# above 1/5 the degeneracy order still wins: L(1,9) layer 3 (density 0.207)
+# needs 444 nodes instead of 5,398.  L(2,11) layer 5 (0.39) stays ascending.
+_DEGENERACY_ORDER_MAX_DENSITY = Fraction(3, 10)
 
 
 class BudgetExceededError(RuntimeError):
@@ -254,14 +262,14 @@ def verify_coloring(g: ConfusabilityGraph, coloring: Mapping[BitString, int]) ->
     return True
 
 
-def _min_degree_peel(adj: Sequence[int], drop: Sequence[int]) -> List[int]:
-    """Indices of the vertices taken, in order, by a minimum-degree peel.
+def _min_degree_peel(adj: Sequence[int]) -> List[int]:
+    """Indices of the vertices taken, in order, by the minimum-degree greedy.
 
-    Each step takes the live vertex with the fewest live neighbors in
-    ``adj``, the smallest index on a tie, and removes it with its live
-    members of ``drop[i]``.  The vertices are kept in a bucket queue:
-    bucket d is the bitmask of those with d live neighbors, and only the
-    neighbors of removed vertices have their count redone.
+    Each step takes the live vertex with the fewest live neighbors, the
+    smallest index on a tie, and removes it with its live neighbors.  The
+    vertices are kept in a bucket queue: bucket d is the bitmask of those
+    with d live neighbors, and only the neighbors of removed vertices have
+    their count redone.
     """
     alive = (1 << len(adj)) - 1
     left = [mask.bit_count() for mask in adj]
@@ -276,7 +284,7 @@ def _min_degree_peel(adj: Sequence[int], drop: Sequence[int]) -> List[int]:
         low = buckets[d] & -buckets[d]
         i = low.bit_length() - 1
         taken.append(i)
-        removed = drop[i] & alive | low
+        removed = adj[i] & alive | low
         alive ^= removed
         touched = 0
         for j in _iter_bits(removed):
@@ -297,12 +305,11 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
     """Maximal independent set via the minimum-degree greedy heuristic.
 
     Each step takes a vertex of minimum degree among those left, the
-    smallest one on a tie, and removes it with its neighbors: the
-    :func:`_min_degree_peel` of g that drops each taken vertex's
-    neighbors.  The result meets the Turan guarantee
+    smallest one on a tie, and removes it with its neighbors
+    (:func:`_min_degree_peel`).  The result meets the Turan guarantee
     |V| / (avg degree + 1).
     """
-    return {g.vertices[i] for i in _min_degree_peel(g.adjacency, g.adjacency)}
+    return {g.vertices[i] for i in _min_degree_peel(g.adjacency)}
 
 
 def exact_mis(g: ConfusabilityGraph,
@@ -337,65 +344,107 @@ def exact_mis(g: ConfusabilityGraph,
     return found
 
 
-def _is_dense(g: ConfusabilityGraph) -> bool:
-    """True iff at least _CLIQUE_SEARCH_MIN_DENSITY of g's vertex pairs are edges."""
+def _density(g: ConfusabilityGraph) -> Fraction:
+    """Edges over vertex pairs; 1 for a graph of fewer than two vertices."""
     v = len(g)
+    if v < 2:
+        return Fraction(1)
     edges = sum(mask.bit_count() for mask in g.adjacency) // 2
-    return 2 * edges >= _CLIQUE_SEARCH_MIN_DENSITY * v * (v - 1)
+    return Fraction(2 * edges, v * (v - 1))
 
 
 def _exact_engine(g: ConfusabilityGraph) -> str:
     """The engine exact_mis runs on g: "clique-search" or "highs"."""
-    if len(g) > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and not _is_dense(g):
+    if len(g) > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and _density(g) < _CLIQUE_SEARCH_MIN_DENSITY:
         return "highs"
     return "clique-search"
+
+
+def _clique_order(g: ConfusabilityGraph) -> str:
+    """The vertex order of the clique search on g: "degeneracy" or "ascending"."""
+    return "degeneracy" if _density(g) < _DEGENERACY_ORDER_MAX_DENSITY else "ascending"
 
 
 def _degeneracy_order(adjacency: Sequence[int]) -> List[int]:
     """Vertex indices in a degeneracy order of the complement.
 
-    The :func:`_min_degree_peel` of the complement that removes one vertex
-    per step, the one with the fewest non-neighbors left (the smallest
-    index on a tie), reversed so the last one removed comes first.
+    The complement is peeled one vertex per step, the one with the fewest
+    non-neighbors left (the smallest index on a tie), and the order is
+    reversed so the last one removed comes first.  Fewest non-neighbors
+    left is most neighbors left, so the peel runs on g itself in O(V + E):
+    a bucket queue of live degrees, highest first, where each removed
+    vertex moves its live neighbors one bucket down.
     """
-    full = (1 << len(adjacency)) - 1
-    apart = [full & ~(mask | 1 << i) for i, mask in enumerate(adjacency)]
-    return _min_degree_peel(apart, [0] * len(apart))[::-1]
+    alive = (1 << len(adjacency)) - 1
+    left = [mask.bit_count() for mask in adjacency]
+    buckets = [0] * (max(left, default=0) + 1)
+    for i, d in enumerate(left):
+        buckets[d] |= 1 << i
+    removed: List[int] = []
+    d = len(buckets) - 1
+    while alive:
+        while not buckets[d]:
+            d -= 1
+        low = buckets[d] & -buckets[d]
+        i = low.bit_length() - 1
+        removed.append(i)
+        alive ^= low
+        buckets[d] ^= low
+        for j in _iter_bits(adjacency[i] & alive):
+            bit = 1 << j
+            buckets[left[j]] ^= bit
+            left[j] -= 1
+            buckets[left[j]] |= bit
+    return removed[::-1]
 
 
 def _clique_search_mis(g: ConfusabilityGraph,
                        node_budget: int) -> Tuple[Set[BitString], bool]:
     """(maximum independent set, budget exhausted) by a bitmask clique search.
 
-    A maximum clique of the complement of g, in the scheme of Tomita and
-    Seki's MCQ: each node is bounded by a greedy partition of its
+    A maximum clique of the complement of g, in the scheme of Tomita et
+    al.'s MCS (2010): each node is bounded by a greedy partition of its
     candidates into cliques of g, which no independent set meets twice.
-    A dense graph numbers its vertices by ascending degree in g.  A sparse
-    one (density below _CLIQUE_SEARCH_MIN_DENSITY) takes the degeneracy
-    order of the complement (:func:`_degeneracy_order`), the initial order
-    of Tomita et al.'s MCS; with ascending degree, L(1,10) layer 3 needs
-    over 180k nodes instead of about 4.5k.  The greedy set is the first
-    incumbent.  Every branch below the root counts as one node against
-    ``node_budget``.
+    A graph of density below _DEGENERACY_ORDER_MAX_DENSITY numbers its
+    vertices in the degeneracy order of the complement
+    (:func:`_degeneracy_order`), a denser one by ascending degree in g
+    (:func:`_clique_order`).  With k = (incumbent size) - (set size), the
+    first k cliques of a node can only be pruned.  MCS's Re-NUMBER step
+    moves each later vertex into one of them where it can, directly or by
+    moving its one non-neighbor there into a later one of the k, so fewer
+    vertices are branched on: L(1,7) takes 1,797 nodes instead of 2,723,
+    L(2,11) layer 5 194,040 instead of 274,585.  The greedy set is the
+    first incumbent.  Every branch below the root counts as one node
+    against ``node_budget``.
     """
     adj = g.adjacency
-    if _is_dense(g):
-        order = sorted(range(len(adj)), key=lambda i: (adj[i].bit_count(), i))
-    else:
+    if _clique_order(g) == "degeneracy":
         order = _degeneracy_order(adj)
+    else:
+        order = sorted(range(len(adj)), key=lambda i: (adj[i].bit_count(), i))
     position = {i: p for p, i in enumerate(order)}
     full = (1 << len(adj)) - 1
-    apart = []  # apart[p]: the non-neighbors of vertex order[p], by position
+    near, apart = [], []  # the neighbors and non-neighbors of order[p], by position
     for p, i in enumerate(order):
-        mask = 1 << p
+        mask = 0
         for j in _iter_bits(adj[i]):
             mask |= 1 << position[j]
-        apart.append(full & ~mask)
+        near.append(mask)
+        apart.append(full & ~(mask | 1 << p))
 
-    greedy = _min_degree_peel(adj, adj)
+    greedy = _min_degree_peel(adj)
     best_size = len(greedy)
     best = sum(1 << position[i] for i in greedy)
     nodes = 0
+
+    def clique_from(free: int) -> int:
+        """The clique of g taken greedily, in position order, from free."""
+        clique = 0
+        while free:
+            low = free & -free
+            free &= near[low.bit_length() - 1]
+            clique |= low
+        return clique
 
     def expand(cand: int, chosen: int, size: int) -> bool:
         """Search below one node; False once the budget is exhausted."""
@@ -405,26 +454,48 @@ def _clique_search_mis(g: ConfusabilityGraph,
                 best, best_size = chosen, size
             return True
         # Greedy clique partition of the candidates: an independent set among
-        # the vertices taken up to one in the c-th clique has at most c members.
-        taken, bounds, rest, cliques = [], [], cand, 0
+        # the vertices of the first c cliques has at most c members.  The
+        # first k cliques are pruned whole, so only the later ones are branched on.
+        k = best_size - size
+        cliques, rest = [], cand
+        while rest and len(cliques) < k:
+            cliques.append(clique_from(rest))
+            rest ^= cliques[-1]
+        # Re-NUMBER: move each later vertex into one of the first k cliques.
+        for p in _iter_bits(rest):
+            for c1, clique in enumerate(cliques):
+                clash = clique & apart[p]  # p's non-neighbors in clique c1
+                if clash & (clash - 1):
+                    continue
+                if clash:  # the one non-neighbor must fit a later clique
+                    q = apart[clash.bit_length() - 1]
+                    for c2 in range(c1 + 1, len(cliques)):
+                        if not cliques[c2] & q:
+                            cliques[c2] |= clash
+                            break
+                    else:
+                        continue
+                cliques[c1] = clique ^ clash | 1 << p
+                rest ^= 1 << p
+                break
+        later = []
         while rest:
-            cliques += 1
-            free = rest
-            while free:
-                low = free & -free
-                free &= ~low & ~apart[low.bit_length() - 1]
-                rest &= ~low
-                taken.append(low)
-                bounds.append(cliques)
-        for low, bound in zip(reversed(taken), reversed(bounds)):
-            if size + bound <= best_size:
-                return True
-            nodes += 1
-            if nodes > node_budget:
-                return False
-            if not expand(cand & apart[low.bit_length() - 1], chosen | low, size + 1):
-                return False
-            cand &= ~low
+            later.append(clique_from(rest))
+            rest ^= later[-1]
+        bound = len(cliques) + len(later)
+        for clique in reversed(later):
+            while clique:
+                if size + bound <= best_size:
+                    return True
+                p = clique.bit_length() - 1
+                nodes += 1
+                if nodes > node_budget:
+                    return False
+                if not expand(cand & apart[p], chosen | 1 << p, size + 1):
+                    return False
+                cand ^= 1 << p
+                clique ^= 1 << p
+            bound -= 1
         return True
 
     exhausted = not expand(full, 0, 0)

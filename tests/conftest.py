@@ -54,6 +54,14 @@ def string_lcs(x, y):
     return prev[-1]
 
 
+def string_adjacency(words, s):
+    """Library-free reference: the neighbors of each of the equal-length plain
+    string words, the other words sharing a subsequence of s fewer symbols."""
+    balls = {w: string_subsequences(w, len(w) - s) for w in words}
+    return {w: {u for u in words if u != w and not balls[w].isdisjoint(balls[u])}
+            for w in words}
+
+
 def reference_greedy(words, s):
     """Library-free reference: the minimum-degree greedy independent set.
 
@@ -61,9 +69,7 @@ def reference_greedy(words, s):
     when they share a subsequence of s fewer symbols.  Each step rescans
     the words left and takes the first one with the fewest neighbors left.
     """
-    balls = {w: string_subsequences(w, len(w) - s) for w in words}
-    adjacent = {w: {u for u in words if u != w and not balls[w].isdisjoint(balls[u])}
-                for w in words}
+    adjacent = string_adjacency(words, s)
     left, chosen = list(words), set()
     while left:
         alive = set(left)
@@ -71,6 +77,23 @@ def reference_greedy(words, s):
         chosen.add(w)
         left = [u for u in left if u != w and u not in adjacent[w]]
     return chosen
+
+
+def reference_degeneracy_order(words, s):
+    """Library-free reference: a degeneracy order of the complement, as indices.
+
+    ``words`` as for :func:`reference_greedy`.  Each step rescans the words
+    left and removes the first one with the fewest non-neighbors left; the
+    order lists the word indices from the last removed to the first.
+    """
+    adjacent = string_adjacency(words, s)
+    left, removed = list(words), []
+    while left:
+        alive = set(left)
+        w = min(left, key=lambda u: len(alive - adjacent[u] - {u}))
+        removed.append(words.index(w))
+        left.remove(w)
+    return removed[::-1]
 
 
 def grouped_cliques(values, n, s):

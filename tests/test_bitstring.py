@@ -168,6 +168,25 @@ class TestInsertAllWeighted:
         with pytest.raises(ValueError):
             insert_all_weighted(B("0"), 1, 2)
 
+    def test_matches_filtered_insert_all(self):
+        for n in range(7):
+            for v in range(1 << n):
+                x = B.from_value(v, n)
+                for s in range(4):
+                    full = insert_all(x, s)
+                    for r in range(s + 1):
+                        expected = {y for y in full if weight(y) == weight(x) + r}
+                        assert insert_all_weighted(x, s, r) == expected, (x, s, r)
+
+    def test_result_size_cap(self):
+        # C(40, 10) = 847,660,528 weighted supersequences; the cap counts these,
+        # not the whole insert_all set
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="2\\^22"):
+            insert_all_weighted(B("0" * 20), 20, 10)
+        assert time.perf_counter() - start < 1
+        assert insert_all_weighted(B("0" * 20), 20, 0) == {B("0" * 40)}
+
     def test_partition_of_insert_all(self):
         # the weighted sets partition the full insertion set
         for n in range(0, 9):

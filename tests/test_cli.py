@@ -229,6 +229,19 @@ class TestAlpha:
         assert "Traceback" not in err
         assert "optimal" not in out
 
+    @pytest.mark.parametrize("argv, engine, order", [
+        (("--s", "1", "--n", "9", "--k", "3"), "clique-search", "degeneracy"),  # density 0.207
+        (("--s", "2", "--n", "8", "--k", "4"), "clique-search", "ascending"),  # density 0.722
+        (("--s", "1", "--n", "8", "--budget", "0"), "highs", None),
+    ], ids=["degeneracy", "ascending", "highs"])
+    def test_clique_search_order_reported(self, capsys, argv, engine, order):
+        _, out, _ = run(capsys, "alpha", *argv)
+        fields = parse_report(out)
+        assert fields["engine"] == engine
+        assert fields.get("order") == order
+        _, out, _ = run(capsys, "alpha", *argv, "--method", "greedy")
+        assert "order" not in parse_report(out)
+
     def test_layer_restriction(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "6", "--k", "3")
         assert rc == 0
@@ -330,6 +343,17 @@ class TestWitness:
         assert rc == 2
         assert err.startswith("error:") and "2^22" in err
         assert out == ""
+
+    @pytest.mark.parametrize("s", ["10", "13"])
+    def test_layer_clique_lists_only_its_layer(self, capsys, s):
+        # one word of weight 0, out of 616,666 and 6,690,448 supersequences
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "witness", "--kind", "clique", "--z", "0" * 10,
+                         "--s", s, "--k", "0")
+        assert time.perf_counter() - start < 1
+        assert rc == 0
+        assert out.splitlines() == [f"# kind=layer-substring s={s} n={10 + int(s)}",
+                                    "0" * (10 + int(s))]
 
     def test_missing_parameters(self, capsys):
         rc, _, err = run(capsys, "witness", "--kind", "clique", "--s", "1")

@@ -40,6 +40,7 @@ from delcodes import (
 )
 from delcodes.graph import (
     DEFAULT_NODE_BUDGET,
+    _clique_order,
     _clique_search_mis,
     _degeneracy_order,
     _exact_engine,
@@ -51,6 +52,7 @@ from conftest import (
     _graph as G,
     grouped_adjacency,
     grouped_cliques,
+    reference_degeneracy_order,
     reference_greedy,
     string_words,
 )
@@ -406,8 +408,9 @@ class TestExactMis:
         params = [(s, n, k) for n in range(9) for s in range(min(n, 3) + 1)
                   for k in range(n + 1)]
         params += [(1, n, None) for n in range(1, 7)] + [(2, n, None) for n in range(2, 8)]
-        # the sparse graphs of at most 128 vertices, searched in degeneracy order
-        params += [(1, 7, None), (1, 9, 4), (1, 10, 3)]
+        # the sparse graphs of at most 128 vertices, and L(1, 9) layer 3 just
+        # above the engine cut, searched in degeneracy order
+        params += [(1, 7, None), (1, 9, 4), (1, 10, 3), (1, 9, 3)]
         for s, n, k in params:
             g = G(s, n, k)
             by_clique, exhausted = _clique_search_mis(g, DEFAULT_NODE_BUDGET)
@@ -469,6 +472,33 @@ class TestExactMis:
         assert len(out) == 16 and verify_independent(g, out)
         with pytest.raises(AssertionError, match="HiGHS reached"):
             exact_mis(G(1, 8))
+
+    @pytest.mark.parametrize("s, n, k, budget, size", [
+        (1, 9, 3, 1000, 13), (1, 9, 6, 1000, 13), (1, 8, 3, 300, 10), (1, 7, None, 2000, 16),
+    ])
+    def test_proof_fits_node_budget(self, s, n, k, budget, size):
+        # degeneracy order below density 3/10 and Re-NUMBER shrink the proofs:
+        # ascending degree without Re-NUMBER takes 5398, 5173, 594 and 2723 nodes
+        g = G(s, n, k)
+        out = exact_mis(g, budget)
+        assert len(out) == size and verify_independent(g, out)
+
+    def test_clique_order_routing(self):
+        # degeneracy order below density 3/10, ascending degree from it on
+        assert _clique_order(G(1, 10, 3)) == "degeneracy"  # 0.170
+        assert _clique_order(G(1, 9, 3)) == "degeneracy"  # 0.207
+        assert _clique_order(G(1, 6)) == "degeneracy"  # 0.269
+        assert _clique_order(G(2, 12, 6)) == "degeneracy"  # 0.287
+        assert _clique_order(G(2, 11, 5)) == "ascending"  # 0.390
+        assert _clique_order(G(2, 8, 4)) == "ascending"  # 0.722
+
+    def test_degeneracy_order_matches_reference(self):
+        params = [(s, n, k) for n in range(9) for s in range(n + 1)
+                  for k in [None] * (n < 8) + list(range(n + 1))]
+        params += [(1, 7, None), (1, 9, 3), (2, 10, 5)]
+        for s, n, k in params:
+            expected = reference_degeneracy_order(string_words(n, k), s)
+            assert _degeneracy_order(G(s, n, k).adjacency) == expected, (s, n, k)
 
     @pytest.mark.parametrize("s, n, k", [(1, 6, None), (2, 7, 3), (1, 9, 4)])
     def test_degeneracy_order(self, s, n, k):
