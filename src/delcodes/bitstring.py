@@ -9,11 +9,12 @@ values are safe to share across threads.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 MAX_LENGTH = 63
 # Largest n whose words are enumerated all at once (2^22 of them); 2^22 also
-# caps the words insert_all and insert_all_weighted return.
+# caps the words insert_all and insert_all_weighted return, and the deletion
+# balls that delete_all, confusable_set and code verification may list.
 MAX_LAYER_N = 22
 
 BitsLike = Union[str, Iterable[int], "BitString"]
@@ -189,12 +190,53 @@ def _single_insertions(v: int, n: int) -> List[int]:
     return out
 
 
-def _delete_values(v: int, n: int, s: int) -> Set[int]:
-    """All distinct results of s deletions, as packed values of length n-s."""
-    level = {v}
+def _deletion_levels(values: Sequence[int], n: int,
+                     s: int) -> Tuple[List[List[int]], Dict[int, int]]:
+    """The up pass over deletion levels, from the given distinct n-symbol words.
+
+    Level 0 maps each word to its own bit (1 << index); level j + 1 maps
+    each distinct single deletion z of a level-j word u to the OR of the
+    masks of all such u, so a level-j word's mask holds the words whose
+    deletion balls of radius j contain it.  Returns the key lists of
+    levels 0..s-1, and level s: each length-(n-s) word with its mask.
+    Only one level is held as a dict at a time.  This is the one place a
+    deletion ball is listed; nothing here is sized, so callers size their
+    request first (:func:`_deletion_ball_bound`).
+    """
+    keys = []
+    level = {v: 1 << i for i, v in enumerate(values)}
     for m in range(n, n - s, -1):
-        level = {z for w in level for z in _single_deletions(w, m)}
-    return level
+        nxt: Dict[int, int] = {}
+        get = nxt.get
+        for u, mask in level.items():
+            for z in _single_deletions(u, m):
+                nxt[z] = get(z, 0) | mask
+        keys.append(list(level))
+        level = nxt
+    return keys, level
+
+
+def _shared_subsequences(values: Sequence[int], n: int, s: int) -> Dict[int, int]:
+    """Each length-(n-s) word in the deletion balls of two or more of the
+    given distinct n-symbol words, with the mask of those words: the
+    supersequence cliques, as the bottom level of :func:`_deletion_levels`."""
+    _, bottom = _deletion_levels(values, n, s)
+    return {z: mask for z, mask in bottom.items() if mask & (mask - 1)}
+
+
+def _deletion_ball_bound(v: int, n: int, s: int) -> int:
+    """Levenshtein's bound C(r + s - 1, s) on the distinct s-deletions of an
+    n-symbol word v with r runs (1 for the empty word)."""
+    # one set bit per run end, as in _single_deletions
+    runs = ((v ^ v << 1 | 1) & ((1 << n) - 1)).bit_count()
+    return _binom(runs + s - 1, s) if runs else 1
+
+
+def _refuse_over_cap(size: int, what: str) -> None:
+    """Raise CapacityError if a listing of `size` words (or at most that
+    many) exceeds 2^22."""
+    if size > 1 << MAX_LAYER_N:
+        raise CapacityError(f"{what} limited to 2^{MAX_LAYER_N} words, got {size}")
 
 
 def _insert_values(words: Iterable[int], n: int, s: int) -> Set[int]:
@@ -210,7 +252,10 @@ def delete_all(x: BitString, s: int) -> Set[BitString]:
     n = len(x)
     if not 0 <= s <= n:
         raise ValueError(f"deletion count {s} out of range 0..{n}")
-    return {BitString.from_value(v, n - s) for v in _delete_values(x.value, n, s)}
+    _refuse_over_cap(_deletion_ball_bound(x.value, n, s),
+                     f"deletion balls (Levenshtein's bound, n={n}, s={s})")
+    _, bottom = _deletion_levels((x.value,), n, s)
+    return {BitString.from_value(v, n - s) for v in bottom}
 
 
 def insert_all(x: BitString, s: int) -> Set[BitString]:
@@ -221,11 +266,8 @@ def insert_all(x: BitString, s: int) -> Set[BitString]:
     if n + s > MAX_LENGTH:
         raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
     # Every length-n word has the same number of supersequences.
-    size = sum(math.comb(n + s, i) for i in range(s + 1))
-    if size > 1 << MAX_LAYER_N:
-        raise CapacityError(
-            f"supersequences limited to 2^{MAX_LAYER_N} words, got {size} for n={n}, s={s}"
-        )
+    _refuse_over_cap(sum(math.comb(n + s, i) for i in range(s + 1)),
+                     f"supersequences (n={n}, s={s})")
     return {BitString.from_value(v, n + s) for v in _insert_values((x.value,), n, s)}
 
 
@@ -261,12 +303,8 @@ def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
     n, w = len(x), weight(x)
     if n + s > MAX_LENGTH:
         raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
-    size = _weighted_insertion_count(s, r, n + s, w + r)
-    if size > 1 << MAX_LAYER_N:
-        raise CapacityError(
-            f"supersequences limited to 2^{MAX_LAYER_N} words, got {size} "
-            f"for n={n}, s={s}, r={r}"
-        )
+    _refuse_over_cap(_weighted_insertion_count(s, r, n + s, w + r),
+                     f"supersequences (n={n}, s={s}, r={r})")
     level = {x.value}
     for m in range(n, n + s):
         # y has m + 1 - n inserted symbols, `ones` of them ones
@@ -307,10 +345,19 @@ def common_substrings(x: BitString, y: BitString, s: int) -> Set[BitString]:
 
 
 def confusable_set(x: BitString, s: int) -> Set[BitString]:
-    """Equal-length words sharing a length-(n-s) subsequence with x."""
+    """Equal-length words sharing a length-(n-s) subsequence with x.
+
+    One insertion pass over the deletion ball: each of its words has
+    sum(C(n, i) for i <= s) supersequences, which with Levenshtein's
+    bound on the ball sizes the request.
+    """
     n = len(x)
     if not 0 <= s <= n:
         raise ValueError(f"deletion count {s} out of range 0..{n}")
-    out = _insert_values(_delete_values(x.value, n, s), n - s, s)
+    _refuse_over_cap(_deletion_ball_bound(x.value, n, s)
+                     * sum(math.comb(n, i) for i in range(s + 1)),
+                     f"confusable sets (n={n}, s={s})")
+    _, bottom = _deletion_levels((x.value,), n, s)
+    out = _insert_values(bottom, n - s, s)
     out.discard(x.value)
     return {BitString.from_value(v, n) for v in out}

@@ -192,6 +192,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     max_n = args.max_n
+    if max_n < 2:
+        # the checks would pass vacuously: below 2 the coloring check has no
+        # graph, and below 1 the duality and VT checks have no words either
+        raise ValueError(f"--max-n must be at least 2, got {max_n}")
     failures = 0
 
     def check(name: str, ok: bool) -> None:

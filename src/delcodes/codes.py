@@ -15,11 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .bitstring import BitString, _delete_values, _word_values, weight
+from .bitstring import (
+    BitString,
+    _deletion_ball_bound,
+    _refuse_over_cap,
+    _shared_subsequences,
+    _word_values,
+    weight,
+)
 from .counting import insertion_count
 from .graph import (
     DEFAULT_NODE_BUDGET,
     CliqueWitness,
+    _segment_clique_size,
     build_graph,
     exact_mis,
     greedy_mis,
@@ -170,30 +178,33 @@ def weight_partition_size_bound(n: int, a: int) -> Fraction:
 def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
     """The first confusable pair of codewords and a subsequence they share.
 
-    Returns None for a valid code, else ``(x, y, z)``.  Two words are
-    confusable exactly when their deletion balls (their distinct
-    length-(n-s) subsequences) meet, so the words are scanned in their
-    sorted order against the union of the earlier balls.  ``y`` is the
-    first word whose ball meets an earlier one, ``x`` the earliest word
-    it meets and ``z`` the smallest shared subsequence.  For s > n every
-    pair is confusable through the empty word.
+    Returns None for a valid code, else ``(x, y, z)``.  One level pass over
+    the codewords gives each length-(n-s) word the mask of those whose
+    deletion balls hold it; the code is valid iff no mask has two members.
+    In sorted order, ``y`` is the first word whose ball meets an earlier one,
+    ``x`` the earliest word it meets and ``z`` the smallest subsequence they
+    share.  For s > n every pair is confusable through the empty word.
+    :class:`CapacityError` is raised, before any ball is listed, when
+    Levenshtein's bounds on the balls sum to more than 2^22 words.
     """
     n, s, words = c.n, c.s, c.words
+    if len(words) < 2:
+        return None
     if s > n:
-        if len(words) < 2:
-            return None
         return words[0], words[1], BitString()
-    seen: Set[int] = set()
-    for j, y in enumerate(words):
-        ball = _delete_values(y.value, n, s)
-        if not seen.isdisjoint(ball):
-            # The witness is found only now, so a valid code costs one scan.
-            for x in words[:j]:
-                shared = ball & _delete_values(x.value, n, s)
-                if shared:
-                    return x, y, BitString.from_value(min(shared), n - s)
-        seen.update(ball)
-    return None
+    values = [w.value for w in words]
+    _refuse_over_cap(sum(_deletion_ball_bound(v, n, s) for v in values),
+                     f"deletion balls (Levenshtein's bound, n={n}, s={s})")
+    shared = _shared_subsequences(values, n, s)
+    if not shared:
+        return None
+    # Bits are word indices.  y is the lowest second member of any mask, so
+    # a mask holding y holds at most one earlier word: its lowest member.
+    y = min((m & (m - 1)) & -(m & (m - 1)) for m in shared.values())
+    x = min(m & -m for m in shared.values() if m & y and m & (y - 1))
+    z = min(v for v, m in shared.items() if m & x and m & y)
+    return (words[x.bit_length() - 1], words[y.bit_length() - 1],
+            BitString.from_value(z, n - s))
 
 
 def verify_code(c: Code) -> bool:
@@ -304,7 +315,7 @@ def _best_segment_params(s: int, n: int) -> Optional[Tuple[int, int, int, int, i
             l = total // k - 3
             if l < 4:
                 continue
-            size = (math.comb(k, b) * math.comb(k - b, c)) * l**b * (l - 2) ** c
+            size = _segment_clique_size(l, k, b, c)
             if best is None or size > best[0]:
                 best = (size, l, k, b, c)
     return best

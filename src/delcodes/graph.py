@@ -8,12 +8,14 @@ restricts the vertex set to a single Hamming weight.
 
 Edges come from the deletion balls of the vertices: the vertices whose
 balls contain one length-(n-s) word z form a clique, and every edge lies
-in such a clique.  The balls are never built one vertex at a time: one
-pass over the deletion levels, from the vertices to their length-(n-s)
-subsequences, gives every such word the mask of its clique, and a pass
-back ORs these into the vertices, taking one single deletion per run at
-each step.  The equivalence with the pairwise-distance definition is
-exercised by the test suite.
+in such a clique.  The balls are never built one vertex at a time: the
+level pass of :mod:`delcodes.bitstring` (``_deletion_levels``), from the
+vertices down to their length-(n-s) subsequences, gives every such word
+the mask of its clique, and a pass back ORs these into the vertices,
+taking one single deletion per run at each step.  The same pass verifies
+codes, lists deletion balls and confusable sets, and gives the HiGHS
+model its rows.  The equivalence with the pairwise-distance definition
+is exercised by the test suite.
 
 A minimum-degree peel on a bucket queue gives the greedy independent set,
 a maximum-degree peel in O(V + E) the degeneracy order of the exact
@@ -42,6 +44,9 @@ from .bitstring import (
     MAX_LENGTH,
     BitString,
     CapacityError,
+    _deletion_levels,
+    _refuse_over_cap,
+    _shared_subsequences,
     _single_deletions,
     _word_values,
     insert_all,
@@ -133,42 +138,6 @@ def _iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _deletion_levels(values: Sequence[int], n: int,
-                     s: int) -> Tuple[List[List[int]], Dict[int, int]]:
-    """The up pass over deletion levels, from the given n-symbol words.
-
-    Level 0 maps each word to its own bit (1 << index); level j + 1 maps
-    each distinct single deletion z of a level-j word u to the OR of the
-    masks of all such u, so a level-j word's mask holds the words whose
-    deletion balls of radius j contain it.  Returns the key lists of
-    levels 0..s-1, and level s: each length-(n-s) word with its mask.
-    Only one level is held as a dict at a time.
-    """
-    keys = []
-    level = {v: 1 << i for i, v in enumerate(values)}
-    for m in range(n, n - s, -1):
-        nxt: Dict[int, int] = {}
-        get = nxt.get
-        for u, mask in level.items():
-            for z in _single_deletions(u, m):
-                nxt[z] = get(z, 0) | mask
-        keys.append(list(level))
-        level = nxt
-    return keys, level
-
-
-def _supersequence_cliques(values: Sequence[int], n: int, s: int) -> List[List[int]]:
-    """Index lists of the given n-symbol words that share a length-(n-s) subsequence.
-
-    One list per shared subsequence z: the words whose deletion balls
-    contain z, a clique of two or more.  Every confusable pair of the
-    words lies in at least one list.  These are the bottom level of
-    :func:`_deletion_levels`, the pass that also gives the graph's edges.
-    """
-    _, bottom = _deletion_levels(values, n, s)
-    return [list(_iter_bits(mask)) for mask in bottom.values() if mask & (mask - 1)]
 
 
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
@@ -511,7 +480,8 @@ def _highs_mis(g: ConfusabilityGraph,
     deletion ball holds a given length-(n-s) word.  :class:`RuntimeError`
     is raised if HiGHS stops for a reason other than its node limit.
     """
-    cliques = _supersequence_cliques([v.value for v in g.vertices], g.params.n, g.params.s)
+    shared = _shared_subsequences([v.value for v in g.vertices], g.params.n, g.params.s)
+    cliques = [list(_iter_bits(mask)) for mask in shared.values()]
     if not cliques:
         return set(g.vertices), False
     import numpy as np
@@ -585,6 +555,11 @@ def _string_from_runs(runs: Iterable[int]) -> BitString:
     return BitString(bits)
 
 
+def _segment_clique_size(l: int, k: int, b: int, c: int) -> int:
+    """Members of segment_clique(l, k, b, c): C(k, b) C(k-b, c) l^b (l-2)^c."""
+    return math.comb(k, b) * math.comb(k - b, c) * l**b * (l - 2) ** c
+
+
 def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     """Clique built from run-length segments around an alternating center.
 
@@ -592,7 +567,9 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     of length 3.  Members replace b segments by the length-(l+1) variants
     (one doubled run) and c segments by the length-(l-1) variants, so each
     member is within deletion distance b+c of the center and the members
-    form a clique for b+c deletions.
+    form a clique for b+c deletions.  :class:`CapacityError` is raised,
+    before any member is listed, above 2^22 members
+    (:func:`_segment_clique_size`).
     """
     if l < 4:
         raise ValueError(f"segment length l must be at least 4, got {l}")
@@ -603,6 +580,7 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     m = k * (l + 3) - 3
     if max(m, m + b - c) > MAX_LENGTH:
         raise CapacityError(f"string length {max(m, m + b - c)} exceeds {MAX_LENGTH}")
+    _refuse_over_cap(_segment_clique_size(l, k, b, c), "segment cliques")
 
     seg_a = (1,) * l
     segs_b = [tuple(2 if j == i else 1 for j in range(l)) for i in range(l)]

@@ -21,7 +21,7 @@ from delcodes import (
     lcs_length,
     weight,
 )
-from delcodes.bitstring import _single_insertions
+from delcodes.bitstring import _deletion_ball_bound, _deletion_levels, _single_insertions
 
 from conftest import string_lcs, string_subsequences, string_supersequences, string_words
 
@@ -112,6 +112,35 @@ class TestDeleteAll:
             delete_all(B("01"), 3)
         with pytest.raises(ValueError):
             delete_all(B("01"), -1)
+
+    def test_bottom_level_matches_string_reference(self):
+        # one word's level pass ends in its deletion ball, each entry
+        # holding that word's bit
+        for n in range(9):
+            for w in string_words(n):
+                for s in range(n + 1):
+                    _, bottom = _deletion_levels([B(w).value], n, s)
+                    assert set(bottom.values()) == {1}
+                    assert ({str(B.from_value(z, n - s)) for z in bottom}
+                            == string_subsequences(w, n - s))
+
+    def test_levenshtein_bound(self):
+        # a word with r runs has at most C(r + s - 1, s) distinct s-deletions
+        for n in range(11):
+            for x in all_words(n):
+                for s in range(n + 1):
+                    assert len(delete_all(x, s)) <= _deletion_ball_bound(x.value, n, s)
+
+    def test_ball_size_cap(self):
+        # 34 runs and 8 deletions: up to C(41, 8) = 95,548,245 words
+        x = B("01" * 17)
+        for call in (lambda: delete_all(x, 8), lambda: common_substrings(x, x, 8)):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match="2\\^22"):
+                call()
+            assert time.perf_counter() - start < 1
+        # C(18, 4) = 3,060 on the bound; the listing itself is smaller
+        assert len(delete_all(B("01" * 8), 4)) <= 3060
 
 
 class TestInsertAll:
@@ -321,6 +350,15 @@ class TestConfusableSet:
                     }
                     assert confusable_set(x, s) == expected
 
+    def test_size_cap(self):
+        # C(33, 4) = 40,920 ball words on the bound, each with
+        # sum(C(30, i) for i <= 4) = 31,931 supersequences
+        start = time.perf_counter()
+        with pytest.raises(CapacityError, match="2\\^22"):
+            confusable_set(B("01" * 15), 4)
+        assert time.perf_counter() - start < 1
+        # 15 runs and 2 deletions: 120 * 121 = 14,520, under the cap
+        assert len(confusable_set(B("01" * 7 + "0"), 2)) < 14520
 
     @given(st.integers(0, 9).flatmap(lambda n: st.tuples(
         st.text("01", min_size=n, max_size=n), st.integers(0, n))))

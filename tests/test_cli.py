@@ -142,6 +142,17 @@ class TestVerify:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_ball_size_cap(self, capsys, tmp_path):
+        # two 60-symbol words of 60 runs each, 20 deletions
+        path = tmp_path / "big.txt"
+        path.write_text(f"# delcode v1\n# n=60 s=20 kind=x\n{'01' * 30}\n{'10' * 30}\n")
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "verify", "--file", str(path))
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and "2^22" in err
+        assert out == ""
+
 
 class TestGraph:
     def test_stats_match_library(self, capsys):
@@ -355,6 +366,16 @@ class TestWitness:
         assert out.splitlines() == [f"# kind=layer-substring s={s} n={10 + int(s)}",
                                     "0" * (10 + int(s))]
 
+    def test_segment_clique_size_cap(self, capsys):
+        # 4,725,000 members
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "witness", "--kind", "clique", "--l", "5",
+                           "--segments", "8", "--b", "5", "--c", "3")
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and "2^22" in err
+        assert out == ""
+
     def test_missing_parameters(self, capsys):
         rc, _, err = run(capsys, "witness", "--kind", "clique", "--s", "1")
         assert rc == 2
@@ -374,6 +395,16 @@ class TestSelftest:
         lines = out.splitlines()
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "failures=0"
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
+    def test_max_n_below_two_is_usage_error(self, capsys, max_n):
+        # the checks would run over empty ranges and pass vacuously
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "selftest", "--max-n", max_n)
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert err.startswith("error:") and "--max-n" in err
+        assert out == ""
 
 
 class TestUsage:

@@ -12,6 +12,7 @@ from delcodes import (
     best_segment_clique,
     chromatic_certificate,
     chromatic_lower_bound,
+    confusable_set,
     constant_weight_guarantee,
     constant_weight_guarantee_asymptotic,
     delete_all,
@@ -200,6 +201,34 @@ def small_codes(draw):
     return make_code(n, s, words, "search")
 
 
+# The constructions and lengths the construct-verify benchmark verifies, with
+# the free parameter's values.
+BUILT_CODE_SHAPES = [
+    ("vt", 9, range(10)), ("vt", 10, range(11)), ("vt", 11, range(12)),
+    ("layer", 10, (4, 6)), ("layer", 11, (5, 6)), ("layer", 12, (4, 8)),
+    ("wp-layer", 9, (0, 1)), ("wp-layer", 10, (0, 1)), ("wp-layer", 11, (0, 1)),
+    ("wp-greedy", 9, (0, 1, 2)), ("wp-greedy", 10, (0, 1, 2)), ("wp-greedy", 11, (0, 1, 2)),
+]
+
+
+def assert_matches_pairwise(code):
+    """find_conflict agrees with the plain all-pairs distance check: it names
+    the pair with the earliest later word, then the earliest earlier one,
+    and their smallest shared subsequence."""
+    s, words = code.s, code.words
+    confusable = [
+        (x, y) for j, y in enumerate(words) for x in words[:j]
+        if deletion_distance(x, y) <= 2 * s
+    ]
+    conflict = find_conflict(code)
+    assert verify_code(code) == (conflict is None) == (not confusable)
+    if conflict is not None:
+        x, y, z = conflict
+        assert (x, y) == confusable[0]
+        m = min(s, code.n)
+        assert z == min(delete_all(x, m) & delete_all(y, m))
+
+
 class TestVerifyCode:
     def test_rejects_confusable_pair(self):
         code = make_code(4, 1, [B("0101"), B("0110")], "search")
@@ -220,20 +249,37 @@ class TestVerifyCode:
 
     @given(small_codes())
     def test_matches_brute_force(self, code):
-        # the ball scan agrees with the plain all-pairs distance check, and
+        # the level pass agrees with the plain all-pairs distance check, and
         # names the pair with the earliest later word, then earliest earlier
-        s, words = code.s, code.words
-        confusable = [
-            (x, y) for j, y in enumerate(words) for x in words[:j]
-            if deletion_distance(x, y) <= 2 * s
-        ]
-        conflict = find_conflict(code)
-        assert verify_code(code) == (conflict is None) == (not confusable)
-        if conflict is not None:
-            x, y, z = conflict
-            assert (x, y) == confusable[0]
-            m = min(s, code.n)
-            assert z == min(delete_all(x, m) & delete_all(y, m))
+        assert_matches_pairwise(code)
+
+    @pytest.mark.parametrize("kind, n, params", BUILT_CODE_SHAPES,
+                             ids=[f"{kind}-{n}" for kind, n, _ in BUILT_CODE_SHAPES])
+    def test_matches_pairwise_on_built_codes(self, kind, n, params):
+        # each code as built, and with one confusable word added
+        for param in params:
+            if kind == "vt":
+                code = vt_code(n, param)
+            elif kind == "layer":
+                code = layer_code(n, param)
+            elif kind == "wp-layer":
+                code = weight_partition_code(n, 1, param, layer_color_solver)
+            else:
+                code = weight_partition_code(n, 2, param, greedy_layer_solver)
+            assert_matches_pairwise(code)
+            words = code.words
+            near = sorted(confusable_set(words[len(words) // 2], code.s) - set(words))
+            corrupted = make_code(n, code.s, words + (near[len(near) // 2],), "corrupted")
+            assert find_conflict(corrupted) is not None
+            assert_matches_pairwise(corrupted)
+
+    def test_ball_size_cap(self):
+        # 60 runs and 20 deletions: C(79, 20) words on Levenshtein's bound
+        big = [B("01" * 30), B("10" * 30)]
+        with pytest.raises(CapacityError, match="2\\^22"):
+            find_conflict(make_code(60, 20, big, "search"))
+        # one word has no pair to check, so nothing is listed
+        assert find_conflict(make_code(60, 20, big[:1], "search")) is None
 
     def test_make_code_length_check(self):
         with pytest.raises(ValueError):

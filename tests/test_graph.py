@@ -45,8 +45,10 @@ from delcodes.graph import (
     _degeneracy_order,
     _exact_engine,
     _highs_mis,
-    _supersequence_cliques,
+    _iter_bits,
+    _segment_clique_size,
 )
+from delcodes.bitstring import _shared_subsequences
 
 from conftest import (
     _graph as G,
@@ -192,13 +194,12 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("s, n, layer", [(1, 8, None), (1, 10, 4)])
     def test_supersequence_cliques_match_grouping(self, s, n, layer):
-        # the rows of the HiGHS model are the groups of two or more, as sets
+        # the shared subsequences are the groups of two or more, as sets
         values = [v.value for v in G(s, n, layer).vertices]
-        rows = _supersequence_cliques(values, n, s)
+        rows = [list(_iter_bits(mask)) for mask in _shared_subsequences(values, n, s).values()]
         expected = grouped_cliques(values, n, s)
         assert len(rows) == len(expected)
         assert {frozenset(r) for r in rows} == {frozenset(r) for r in expected}
-        assert all(r == sorted(r) for r in rows)
 
     def test_layer_edges_induced_from_full_graph(self):
         for n in (4, 6):
@@ -400,6 +401,28 @@ class TestExactMis:
             exact_mis(g)
         assert info.value.best == greedy_mis(g)
 
+    @pytest.mark.parametrize("params, count, rows_digest", [
+        ((1, 10, 4), 210, "d6799f1d6787fdb9"),
+        ((2, 10, 5), 182, "f95daae0a948f6ae"),
+        ((1, 11, 3), 165, "e483c9dfb42edafd"),
+    ], ids=str)
+    def test_highs_rows_pinned(self, monkeypatch, params, count, rows_digest):
+        # one row per supersequence clique, in the order of the level pass;
+        # the row order decides which maximum set HiGHS returns
+        seen = []
+
+        def capture(*args, constraints, **kwargs):
+            seen.append(constraints.A.tocsr())
+            return SimpleNamespace(status=0, message="captured", x=None)
+
+        monkeypatch.setattr(scipy.optimize, "milp", capture)
+        _highs_mis(G(*params), 0)
+        (matrix,) = seen
+        rows = [sorted(int(i) for i in matrix.indices[a:b])
+                for a, b in zip(matrix.indptr, matrix.indptr[1:])]
+        assert len(rows) == count
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == rows_digest
+
     def test_deterministic(self):
         for g in (G(1, 6), G(2, 8, 4), G(1, 7)):
             assert exact_mis(g) == exact_mis(g)
@@ -574,6 +597,7 @@ class TestSegmentClique:
             )
             assert len(w.vertices) == expected
             assert len(set(w.vertices)) == expected
+            assert _segment_clique_size(l, k, b, c) == expected
 
     def test_distances_to_center(self):
         w = segment_clique(4, 2, 1, 1)
@@ -596,6 +620,8 @@ class TestSegmentClique:
             segment_clique(4, 2, -1, 0)
         with pytest.raises(CapacityError):
             segment_clique(8, 7, 0, 0)
+        with pytest.raises(CapacityError, match="2\\^22"):
+            segment_clique(5, 8, 5, 3)  # 4,725,000 members
 
 
 class TestVerifyClique:
