@@ -216,14 +216,6 @@ def _deletion_levels(values: Sequence[int], n: int,
     return keys, level
 
 
-def _shared_subsequences(values: Sequence[int], n: int, s: int) -> Dict[int, int]:
-    """Each length-(n-s) word in the deletion balls of two or more of the
-    given distinct n-symbol words, with the mask of those words: the
-    supersequence cliques, as the bottom level of :func:`_deletion_levels`."""
-    _, bottom = _deletion_levels(values, n, s)
-    return {z: mask for z, mask in bottom.items() if mask & (mask - 1)}
-
-
 def _deletion_ball_bound(v: int, n: int, s: int) -> int:
     """Levenshtein's bound C(r + s - 1, s) on the distinct s-deletions of an
     n-symbol word v with r runs (1 for the empty word)."""

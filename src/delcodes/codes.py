@@ -18,8 +18,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 from .bitstring import (
     BitString,
     _deletion_ball_bound,
+    _deletion_levels,
     _refuse_over_cap,
-    _shared_subsequences,
     _word_values,
     weight,
 )
@@ -178,12 +178,15 @@ def weight_partition_size_bound(n: int, a: int) -> Fraction:
 def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
     """The first confusable pair of codewords and a subsequence they share.
 
-    Returns None for a valid code, else ``(x, y, z)``.  One level pass over
-    the codewords gives each length-(n-s) word the mask of those whose
-    deletion balls hold it; the code is valid iff no mask has two members.
-    In sorted order, ``y`` is the first word whose ball meets an earlier one,
-    ``x`` the earliest word it meets and ``z`` the smallest subsequence they
-    share.  For s > n every pair is confusable through the empty word.
+    Returns None for a valid code, else ``(x, y, z)``.  Two words are
+    confusable exactly when their deletion balls (their distinct
+    length-(n-s) subsequences, the bottom of :func:`_deletion_levels`)
+    meet, so the words are scanned in their sorted order, each ball
+    against the earlier ones.  These are pairwise disjoint until the first
+    conflict, so each subsequence seen names the one word it came from:
+    ``y`` is the first word whose ball meets an earlier one, ``x`` the
+    earliest word it meets and ``z`` the smallest subsequence they share.
+    For s > n every pair is confusable through the empty word.
     :class:`CapacityError` is raised, before any ball is listed, when
     Levenshtein's bounds on the balls sum to more than 2^22 words.
     """
@@ -192,19 +195,17 @@ def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
         return None
     if s > n:
         return words[0], words[1], BitString()
-    values = [w.value for w in words]
-    _refuse_over_cap(sum(_deletion_ball_bound(v, n, s) for v in values),
+    _refuse_over_cap(sum(_deletion_ball_bound(w.value, n, s) for w in words),
                      f"deletion balls (Levenshtein's bound, n={n}, s={s})")
-    shared = _shared_subsequences(values, n, s)
-    if not shared:
-        return None
-    # Bits are word indices.  y is the lowest second member of any mask, so
-    # a mask holding y holds at most one earlier word: its lowest member.
-    y = min((m & (m - 1)) & -(m & (m - 1)) for m in shared.values())
-    x = min(m & -m for m in shared.values() if m & y and m & (y - 1))
-    z = min(v for v, m in shared.items() if m & x and m & y)
-    return (words[x.bit_length() - 1], words[y.bit_length() - 1],
-            BitString.from_value(z, n - s))
+    seen: Dict[int, int] = {}
+    for j, y in enumerate(words):
+        _, ball = _deletion_levels((y.value,), n, s)
+        if not seen.keys().isdisjoint(ball):
+            i = min(seen[z] for z in ball if z in seen)
+            z = min(z for z in ball if seen.get(z) == i)
+            return words[i], y, BitString.from_value(z, n - s)
+        seen.update(dict.fromkeys(ball, j))
+    return None
 
 
 def verify_code(c: Code) -> bool:

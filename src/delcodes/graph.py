@@ -12,9 +12,9 @@ in such a clique.  The balls are never built one vertex at a time: the
 level pass of :mod:`delcodes.bitstring` (``_deletion_levels``), from the
 vertices down to their length-(n-s) subsequences, gives every such word
 the mask of its clique, and a pass back ORs these into the vertices,
-taking one single deletion per run at each step.  The same pass verifies
-codes, lists deletion balls and confusable sets, and gives the HiGHS
-model its rows.  The equivalence with the pairwise-distance definition
+taking one single deletion per run at each step.  The same pass gives
+the HiGHS model its rows and, run on one word at a time, the deletion
+balls that verify codes and give confusable sets.  The equivalence with the pairwise-distance definition
 is exercised by the test suite.
 
 A minimum-degree peel on a bucket queue gives the greedy independent set,
@@ -46,7 +46,6 @@ from .bitstring import (
     CapacityError,
     _deletion_levels,
     _refuse_over_cap,
-    _shared_subsequences,
     _single_deletions,
     _word_values,
     insert_all,
@@ -469,6 +468,14 @@ def _clique_search_mis(g: ConfusabilityGraph,
 
     exhausted = not expand(full, 0, 0)
     return {g.vertices[order[p]] for p in _iter_bits(best)}, exhausted
+
+
+def _shared_subsequences(values: Sequence[int], n: int, s: int) -> Dict[int, int]:
+    """Each length-(n-s) word in the deletion balls of two or more of the
+    given distinct n-symbol words, with the mask of those words: the
+    supersequence cliques, as the bottom level of :func:`_deletion_levels`."""
+    _, bottom = _deletion_levels(values, n, s)
+    return {z: mask for z, mask in bottom.items() if mask & (mask - 1)}
 
 
 def _highs_mis(g: ConfusabilityGraph,

@@ -1,6 +1,7 @@
 """Tests for code constructions, colorings, bounds, and file persistence."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 from delcodes import (
     BitString,
     CapacityError,
+    Code,
     best_segment_clique,
     chromatic_certificate,
     chromatic_lower_bound,
@@ -247,9 +249,16 @@ class TestVerifyCode:
         code = make_code(2, 5, [B("00"), B("11")], "search")
         assert find_conflict(code) == (B("00"), B("11"), B(""))
 
+    def test_repeated_word(self):
+        # a Code built directly keeps a repeated word, which conflicts with itself
+        w = B("0101")
+        code = Code(4, 1, (w, w), "search")
+        assert find_conflict(code) == (w, w, B("001"))
+        assert not verify_code(code)
+
     @given(small_codes())
     def test_matches_brute_force(self, code):
-        # the level pass agrees with the plain all-pairs distance check, and
+        # the ball scan agrees with the plain all-pairs distance check, and
         # names the pair with the earliest later word, then earliest earlier
         assert_matches_pairwise(code)
 
@@ -280,6 +289,19 @@ class TestVerifyCode:
             find_conflict(make_code(60, 20, big, "search"))
         # one word has no pair to check, so nothing is listed
         assert find_conflict(make_code(60, 20, big[:1], "search")) is None
+
+    def test_memory_tracks_ball_sizes(self):
+        # one entry per subsequence seen: vt_code(16, 0) has 3,856 words and
+        # about 30,000 ball entries, held in a few MiB; a mask of codewords
+        # per length-15 word would take about 12 MiB
+        code = vt_code(16, 0)
+        tracemalloc.start()
+        try:
+            assert find_conflict(code) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
     def test_make_code_length_check(self):
         with pytest.raises(ValueError):

@@ -47,8 +47,8 @@ from delcodes.graph import (
     _highs_mis,
     _iter_bits,
     _segment_clique_size,
+    _shared_subsequences,
 )
-from delcodes.bitstring import _shared_subsequences
 
 from conftest import (
     _graph as G,
