@@ -199,9 +199,10 @@ def _deletion_levels(values: Sequence[int], n: int,
     masks of all such u, so a level-j word's mask holds the words whose
     deletion balls of radius j contain it.  Returns the key lists of
     levels 0..s-1, and level s: each length-(n-s) word with its mask.
-    Only one level is held as a dict at a time.  This is the one place a
-    deletion ball is listed; nothing here is sized, so callers size their
-    request first (:func:`_deletion_ball_bound`).
+    Only one level is held as a dict at a time.  It lists the balls of many
+    words at once, for graph edges and solver rows; one word's ball comes
+    from :func:`_deletion_ball`.  Nothing here is sized, so callers size
+    their request first (:func:`_deletion_ball_bound`).
     """
     keys = []
     level = {v: 1 << i for i, v in enumerate(values)}
@@ -214,6 +215,16 @@ def _deletion_levels(values: Sequence[int], n: int,
         keys.append(list(level))
         level = nxt
     return keys, level
+
+
+def _deletion_ball(v: int, n: int, s: int) -> Set[int]:
+    """The distinct length-(n-s) subsequences of an n-symbol word v, as
+    packed values: the same levels as :func:`_deletion_levels` without the
+    masks.  Unsized, like it."""
+    level = {v}
+    for m in range(n, n - s, -1):
+        level = {z for u in level for z in _single_deletions(u, m)}
+    return level
 
 
 def _deletion_ball_bound(v: int, n: int, s: int) -> int:
@@ -246,8 +257,7 @@ def delete_all(x: BitString, s: int) -> Set[BitString]:
         raise ValueError(f"deletion count {s} out of range 0..{n}")
     _refuse_over_cap(_deletion_ball_bound(x.value, n, s),
                      f"deletion balls (Levenshtein's bound, n={n}, s={s})")
-    _, bottom = _deletion_levels((x.value,), n, s)
-    return {BitString.from_value(v, n - s) for v in bottom}
+    return {BitString.from_value(v, n - s) for v in _deletion_ball(x.value, n, s)}
 
 
 def insert_all(x: BitString, s: int) -> Set[BitString]:
@@ -349,7 +359,6 @@ def confusable_set(x: BitString, s: int) -> Set[BitString]:
     _refuse_over_cap(_deletion_ball_bound(x.value, n, s)
                      * sum(math.comb(n, i) for i in range(s + 1)),
                      f"confusable sets (n={n}, s={s})")
-    _, bottom = _deletion_levels((x.value,), n, s)
-    out = _insert_values(bottom, n - s, s)
+    out = _insert_values(_deletion_ball(x.value, n, s), n - s, s)
     out.discard(x.value)
     return {BitString.from_value(v, n) for v in out}

@@ -129,6 +129,7 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
         print(f"engine={engine}")
         if engine == "clique-search":
             print(f"order={graph_mod._clique_order(g)}")
+            print(f"symmetry={','.join(graph_mod._automorphisms(g))}")
     print(f"size={len(result)}")
     print(f"optimal={'true' if optimal else 'false'}")
     for v in sorted(result):

@@ -17,8 +17,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .bitstring import (
     BitString,
+    _deletion_ball,
     _deletion_ball_bound,
-    _deletion_levels,
     _refuse_over_cap,
     _word_values,
     weight,
@@ -180,7 +180,7 @@ def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
 
     Returns None for a valid code, else ``(x, y, z)``.  Two words are
     confusable exactly when their deletion balls (their distinct
-    length-(n-s) subsequences, the bottom of :func:`_deletion_levels`)
+    length-(n-s) subsequences, listed by :func:`_deletion_ball`)
     meet, so the words are scanned in their sorted order, each ball
     against the earlier ones.  These are pairwise disjoint until the first
     conflict, so each subsequence seen names the one word it came from:
@@ -199,7 +199,7 @@ def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
                      f"deletion balls (Levenshtein's bound, n={n}, s={s})")
     seen: Dict[int, int] = {}
     for j, y in enumerate(words):
-        _, ball = _deletion_levels((y.value,), n, s)
+        ball = _deletion_ball(y.value, n, s)
         if not seen.keys().isdisjoint(ball):
             i = min(seen[z] for z in ball if z in seen)
             z = min(z for z in ball if seen.get(z) == i)

@@ -13,9 +13,10 @@ level pass of :mod:`delcodes.bitstring` (``_deletion_levels``), from the
 vertices down to their length-(n-s) subsequences, gives every such word
 the mask of its clique, and a pass back ORs these into the vertices,
 taking one single deletion per run at each step.  The same pass gives
-the HiGHS model its rows and, run on one word at a time, the deletion
-balls that verify codes and give confusable sets.  The equivalence with the pairwise-distance definition
-is exercised by the test suite.
+the HiGHS model its rows; code verification and confusable sets list one
+word's ball at a time by the same single deletions, without masks
+(``_deletion_ball``).  The equivalence with the pairwise-distance
+definition is exercised by the test suite.
 
 A minimum-degree peel on a bucket queue gives the greedy independent set,
 a maximum-degree peel in O(V + E) the degeneracy order of the exact
@@ -26,10 +27,13 @@ graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
 at most 128 vertices are searched in pure Python as a maximum clique of
 the complement: Tomita et al.'s MCS, with greedy clique-partition bounds
 and the Re-NUMBER step, in the degeneracy order of the complement below
-edge density 3/10 and by ascending degree from it on.  Larger sparse
-graphs go to HiGHS through scipy, with the supersequence cliques as
-constraint rows; scipy is imported only then.  The node budget counts the
-search nodes of whichever engine runs.
+edge density 3/10 and by ascending degree from it on.  At its root the
+search branches on one vertex per orbit of the graph's symmetries: word
+reversal on every graph of :func:`build_graph`, and complement on the
+full graph and the middle layer.  Larger sparse graphs go to HiGHS
+through scipy, with the supersequence cliques as constraint rows; scipy
+is imported only then.  The node budget counts the search nodes of
+whichever engine runs.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+                    Tuple)
 
 from .bitstring import (
     MAX_LENGTH,
@@ -105,6 +110,9 @@ class ConfusabilityGraph:
         self.vertices = vertices
         self.adjacency = adjacency
         self._index: Dict[BitString, int] = {v: i for i, v in enumerate(vertices)}
+        # Set by build_graph, whose graphs have the symmetries of
+        # _automorphisms; a graph built by hand is searched without them.
+        self._from_params = False
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -173,7 +181,37 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     adj = tuple(level[v] & ~(1 << i) for i, v in enumerate(vert_values))
 
     vertices = tuple(BitString.from_value(v, n) for v in vert_values)
-    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, adj)
+    g = ConfusabilityGraph(GraphParams(s, n, layer), vertices, adj)
+    g._from_params = True
+    return g
+
+
+def _automorphisms(g: ConfusabilityGraph) -> Dict[str, Callable[[int], int]]:
+    """Generators of the symmetries of a :func:`build_graph` graph, by name,
+    as maps of vertex indices; none for a graph built by hand.
+
+    Deleting symbols commutes with reversing a word and with complementing
+    it, so both preserve shared subsequences.  Reversal keeps the weight
+    and maps every graph onto itself; complement maps layer k onto layer
+    n - k, so it is given for the full graph and the middle layer only.
+    The two commute and are involutions, so with reversal-with-complement
+    they make a group of order at most 4.  The maps are evaluated one
+    vertex at a time, so asking for an image costs O(n).
+    """
+    if not g._from_params:
+        return {}
+    n, layer = g.params.n, g.params.layer
+    vertices, index = g.vertices, g._index
+
+    def reverse(i: int) -> int:
+        word = format(vertices[i].value, "b").zfill(n)[::-1]
+        return index[BitString.from_value(int(word, 2), n)]
+
+    maps = {"reversal": reverse}
+    if layer is None or 2 * layer == n:
+        full = (1 << n) - 1
+        maps["complement"] = lambda i: index[BitString.from_value(vertices[i].value ^ full, n)]
+    return maps
 
 
 def degree_stats(g: ConfusabilityGraph) -> Tuple[int, Fraction, int]:
@@ -380,10 +418,19 @@ def _clique_search_mis(g: ConfusabilityGraph,
     first k cliques of a node can only be pruned.  MCS's Re-NUMBER step
     moves each later vertex into one of them where it can, directly or by
     moving its one non-neighbor there into a later one of the k, so fewer
-    vertices are branched on: L(1,7) takes 1,797 nodes instead of 2,723,
-    L(2,11) layer 5 194,040 instead of 274,585.  The greedy set is the
-    first incumbent.  Every branch below the root counts as one node
-    against ``node_budget``.
+    vertices are branched on: L(1,7) took 1,797 nodes instead of 2,723,
+    L(2,11) layer 5 194,040 instead of 274,585.
+
+    At the root, whose subproblem every symmetry of g fixes
+    (:func:`_automorphisms`), the branch on a vertex covers the sets through
+    any of its images, so once it returns the whole orbit leaves the
+    candidates and is not branched on (orbital branching, Ostrowski,
+    Linderoth, Rossi and Smriglio, Math. Program. 2011).  What is left is a
+    union of orbits, so every symmetry still fixes it.  The orbit of each
+    vertex branched on is found from its three images at most.  This takes
+    L(1,7) to 725 nodes and L(2,11) layer 5 to 103,884.  The greedy set is
+    the first incumbent.  Every branch below the root counts as one node
+    against ``node_budget``; a vertex skipped with an orbit does not.
     """
     adj = g.adjacency
     if _clique_order(g) == "degeneracy":
@@ -404,6 +451,15 @@ def _clique_search_mis(g: ConfusabilityGraph,
     best_size = len(greedy)
     best = sum(1 << position[i] for i in greedy)
     nodes = 0
+    symmetries = _automorphisms(g).values()
+
+    def orbit(p: int) -> int:
+        """The positions of order[p]'s images under the symmetries of g."""
+        found = 1 << p
+        for image in symmetries:
+            for q in _iter_bits(found):
+                found |= 1 << position[image(order[q])]
+        return found
 
     def clique_from(free: int) -> int:
         """The clique of g taken greedily, in position order, from free."""
@@ -414,7 +470,7 @@ def _clique_search_mis(g: ConfusabilityGraph,
             clique |= low
         return clique
 
-    def expand(cand: int, chosen: int, size: int) -> bool:
+    def expand(cand: int, chosen: int, size: int, root: bool = False) -> bool:
         """Search below one node; False once the budget is exhausted."""
         nonlocal best, best_size, nodes
         if not cand:
@@ -452,6 +508,7 @@ def _clique_search_mis(g: ConfusabilityGraph,
             rest ^= later[-1]
         bound = len(cliques) + len(later)
         for clique in reversed(later):
+            clique &= cand  # at the root, the orbits already branched on are gone
             while clique:
                 if size + bound <= best_size:
                     return True
@@ -461,12 +518,15 @@ def _clique_search_mis(g: ConfusabilityGraph,
                     return False
                 if not expand(cand & apart[p], chosen | 1 << p, size + 1):
                     return False
-                cand ^= 1 << p
-                clique ^= 1 << p
+                # At the root, every set through an image of p maps back onto
+                # one through p, which the branch has covered.
+                done = orbit(p) if root else 1 << p
+                cand &= ~done
+                clique &= ~done
             bound -= 1
         return True
 
-    exhausted = not expand(full, 0, 0)
+    exhausted = not expand(full, 0, 0, root=True)
     return {g.vertices[order[p]] for p in _iter_bits(best)}, exhausted
 
 
@@ -553,15 +613,6 @@ def substring_clique(z: BitString, s: int,
     )
 
 
-def _string_from_runs(runs: Iterable[int]) -> BitString:
-    bits: List[int] = []
-    b = 0
-    for rl in runs:
-        bits.extend([b] * rl)
-        b ^= 1
-    return BitString(bits)
-
-
 def _segment_clique_size(l: int, k: int, b: int, c: int) -> int:
     """Members of segment_clique(l, k, b, c): C(k, b) C(k-b, c) l^b (l-2)^c."""
     return math.comb(k, b) * math.comb(k - b, c) * l**b * (l - 2) ** c
@@ -589,37 +640,51 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
         raise CapacityError(f"string length {max(m, m + b - c)} exceeds {MAX_LENGTH}")
     _refuse_over_cap(_segment_clique_size(l, k, b, c), "segment cliques")
 
-    seg_a = (1,) * l
-    segs_b = [tuple(2 if j == i else 1 for j in range(l)) for i in range(l)]
-    segs_c = [tuple(2 if j == i else 1 for j in range(l - 2)) for i in range(l - 2)]
-    sep = (3,)
+    def packed(runs: Iterable[int], symbol: int) -> int:
+        """The value of the word with these run lengths, the first run of `symbol`."""
+        value = 0
+        for rl in runs:
+            value = value << rl | -symbol & ((1 << rl) - 1)
+            symbol ^= 1
+        return value
 
-    def assemble(segments: List[Tuple[int, ...]]) -> BitString:
-        runs: List[int] = []
-        for idx, seg in enumerate(segments):
-            if idx:
-                runs.extend(sep)
-            runs.extend(seg)
-        return _string_from_runs(runs)
+    # Slot t is segment t, preceded by its separator when t > 0.  It starts
+    # on run t(l+1) - 1 (run 0 for t = 0) whatever the variants before it, as
+    # l and l - 2 have the same parity, so its first symbol is fixed.
+    variants = [
+        [(1,) * l],
+        [tuple(2 if j == i else 1 for j in range(l)) for i in range(l)],
+        [tuple(2 if j == i else 1 for j in range(l - 2)) for i in range(l - 2)],
+    ]
 
-    center = assemble([seg_a] * k)
-    members: List[BitString] = []
+    def words(kinds: Sequence[int]) -> List[int]:
+        """The values of the members whose slot t takes a variant of kind
+        kinds[t]: 0 the center's segment, 1 one run doubled, 2 two runs fewer."""
+        out, at = [0], 0
+        for t in reversed(range(k)):
+            sep = (3,) if t else ()
+            first = (t * (l + 1) - len(sep)) % 2
+            shifted = [packed(sep + seg, first) << at for seg in variants[kinds[t]]]
+            out = [x | y for x in out for y in shifted]
+            at += sum(sep + variants[kinds[t]][0])
+        return out
+
+    values = []
     for pos_b in itertools.combinations(range(k), b):
         remaining = [i for i in range(k) if i not in pos_b]
         for pos_c in itertools.combinations(remaining, c):
-            slots_b = list(pos_b)
-            slots_c = list(pos_c)
-            for choice_b in itertools.product(range(l), repeat=b):
-                for choice_c in itertools.product(range(l - 2), repeat=c):
-                    segments = [seg_a] * k
-                    for slot, ch in zip(slots_b, choice_b):
-                        segments[slot] = segs_b[ch]
-                    for slot, ch in zip(slots_c, choice_c):
-                        segments[slot] = segs_c[ch]
-                    members.append(assemble(segments))
+            kinds = [0] * k
+            for t in pos_b:
+                kinds[t] = 1
+            for t in pos_c:
+                kinds[t] = 2
+            values += words(kinds)
+    # all members have length m + b - c, so they sort by value
+    members = [BitString.from_value(v, m + b - c) for v in sorted(values)]
+    center = BitString.from_value(words([0] * k)[0], m)
     return CliqueWitness(
         kind="segment",
-        vertices=tuple(sorted(members)),
+        vertices=tuple(members),
         params={"l": l, "k": k, "b": b, "c": c},
         center=center,
     )

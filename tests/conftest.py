@@ -43,6 +43,33 @@ def string_supersequences(w, t):
     return level
 
 
+def string_segment_clique(l, k, b, c):
+    """Library-free reference: the members of segment_clique(l, k, b, c) as
+    sorted strings, and its center, each assembled from its run lengths
+    (first run of zeros): k segments of l unit runs between runs of 3, with
+    b segments given one doubled run and c segments two runs fewer and one
+    doubled."""
+    def assemble(segments):
+        runs = list(segments[0])
+        for seg in segments[1:]:
+            runs.append(3)
+            runs.extend(seg)
+        return "".join("01"[t & 1] * rl for t, rl in enumerate(runs))
+
+    doubled = [tuple(2 if j == i else 1 for j in range(l)) for i in range(l)]
+    shorter = [tuple(2 if j == i else 1 for j in range(l - 2)) for i in range(l - 2)]
+    members = []
+    for pos_b in itertools.combinations(range(k), b):
+        for pos_c in itertools.combinations([t for t in range(k) if t not in pos_b], c):
+            for choice_b in itertools.product(doubled, repeat=b):
+                for choice_c in itertools.product(shorter, repeat=c):
+                    segments = [(1,) * l] * k
+                    for t, seg in zip(pos_b + pos_c, choice_b + choice_c):
+                        segments[t] = seg
+                    members.append(assemble(segments))
+    return sorted(members), assemble([(1,) * l] * k)
+
+
 def string_lcs(x, y):
     """Library-free reference: the length of a longest common subsequence, by the row DP."""
     prev = [0] * (len(y) + 1)

@@ -21,7 +21,12 @@ from delcodes import (
     lcs_length,
     weight,
 )
-from delcodes.bitstring import _deletion_ball_bound, _deletion_levels, _single_insertions
+from delcodes.bitstring import (
+    _deletion_ball,
+    _deletion_ball_bound,
+    _deletion_levels,
+    _single_insertions,
+)
 
 from conftest import string_lcs, string_subsequences, string_supersequences, string_words
 
@@ -115,7 +120,7 @@ class TestDeleteAll:
 
     def test_bottom_level_matches_string_reference(self):
         # one word's level pass ends in its deletion ball, each entry
-        # holding that word's bit
+        # holding that word's bit, and the mask-free pass lists the same ball
         for n in range(9):
             for w in string_words(n):
                 for s in range(n + 1):
@@ -123,6 +128,7 @@ class TestDeleteAll:
                     assert set(bottom.values()) == {1}
                     assert ({str(B.from_value(z, n - s)) for z in bottom}
                             == string_subsequences(w, n - s))
+                    assert _deletion_ball(B(w).value, n, s) == bottom.keys()
 
     def test_levenshtein_bound(self):
         # a word with r runs has at most C(r + s - 1, s) distinct s-deletions

@@ -240,18 +240,26 @@ class TestAlpha:
         assert "Traceback" not in err
         assert "optimal" not in out
 
-    @pytest.mark.parametrize("argv, engine, order", [
-        (("--s", "1", "--n", "9", "--k", "3"), "clique-search", "degeneracy"),  # density 0.207
-        (("--s", "2", "--n", "8", "--k", "4"), "clique-search", "ascending"),  # density 0.722
-        (("--s", "1", "--n", "8", "--budget", "0"), "highs", None),
-    ], ids=["degeneracy", "ascending", "highs"])
-    def test_clique_search_order_reported(self, capsys, argv, engine, order):
+    @pytest.mark.parametrize("argv, engine, order, symmetry", [
+        (("--s", "1", "--n", "9", "--k", "3"), "clique-search", "degeneracy",
+         "reversal"),  # density 0.207
+        (("--s", "2", "--n", "8", "--k", "4"), "clique-search", "ascending",
+         "reversal,complement"),  # density 0.722, the middle layer
+        (("--s", "1", "--n", "7"), "clique-search", "degeneracy", "reversal,complement"),
+        (("--s", "1", "--n", "8", "--budget", "0"), "highs", None, None),
+    ], ids=["degeneracy", "ascending", "full", "highs"])
+    def test_clique_search_order_reported(self, capsys, argv, engine, order, symmetry):
         _, out, _ = run(capsys, "alpha", *argv)
         fields = parse_report(out)
         assert fields["engine"] == engine
         assert fields.get("order") == order
+        assert fields.get("symmetry") == symmetry
+        if order:
+            lines = out.splitlines()
+            assert lines.index(f"symmetry={symmetry}") == lines.index(f"order={order}") + 1
         _, out, _ = run(capsys, "alpha", *argv, "--method", "greedy")
         assert "order" not in parse_report(out)
+        assert "symmetry" not in parse_report(out)
 
     def test_layer_restriction(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "6", "--k", "3")

@@ -38,8 +38,10 @@ from delcodes import (
     vt_weight,
     weight,
 )
+from delcodes.bitstring import MAX_LENGTH
 from delcodes.graph import (
     DEFAULT_NODE_BUDGET,
+    _automorphisms,
     _clique_order,
     _clique_search_mis,
     _degeneracy_order,
@@ -56,6 +58,7 @@ from conftest import (
     grouped_cliques,
     reference_degeneracy_order,
     reference_greedy,
+    string_segment_clique,
     string_words,
 )
 
@@ -497,14 +500,86 @@ class TestExactMis:
             exact_mis(G(1, 8))
 
     @pytest.mark.parametrize("s, n, k, budget, size", [
-        (1, 9, 3, 1000, 13), (1, 9, 6, 1000, 13), (1, 8, 3, 300, 10), (1, 7, None, 2000, 16),
+        (1, 9, 3, 1000, 13), (1, 9, 6, 1000, 13), (1, 8, 3, 300, 10), (1, 7, None, 1000, 16),
+        (2, 10, 5, 600, 8),
     ])
     def test_proof_fits_node_budget(self, s, n, k, budget, size):
-        # degeneracy order below density 3/10 and Re-NUMBER shrink the proofs:
-        # ascending degree without Re-NUMBER takes 5398, 5173, 594 and 2723 nodes
+        # degeneracy order below density 3/10 and Re-NUMBER shrink the proofs
+        # (ascending degree without Re-NUMBER takes 5398, 5173, 594 and 2723
+        # nodes on the first four), and orbit pruning at the root shrinks them
+        # again: 286, 267, 141, 1797 and 1156 nodes without it, 203, 202,
+        # 108, 725 and 428 with it
         g = G(s, n, k)
         out = exact_mis(g, budget)
         assert len(out) == size and verify_independent(g, out)
+
+    def test_automorphisms(self):
+        # each map, and reversal with complement, permutes the vertices and
+        # carries every adjacency mask onto the mask of the image
+        for n in range(9):
+            for s in range(n + 1):
+                for k in [None] + list(range(n + 1)):
+                    g = G(s, n, k)
+                    maps = _automorphisms(g)
+                    assert list(maps) == (["reversal", "complement"]
+                                          if k is None or 2 * k == n else ["reversal"])
+                    if len(maps) == 2:
+                        maps["reversal,complement"] = (
+                            lambda i: maps["complement"](maps["reversal"](i)))
+                    for name, image in maps.items():
+                        perm = [image(i) for i in range(len(g))]
+                        assert sorted(perm) == list(range(len(g))), (s, n, k, name)
+                        for i, mask in enumerate(g.adjacency):
+                            moved = sum(1 << perm[j] for j in _iter_bits(mask))
+                            assert g.adjacency[perm[i]] == moved, (s, n, k, name)
+
+    def test_automorphisms_map_words(self):
+        g = G(2, 6, 3)
+        maps = _automorphisms(g)
+        i = g.index_of(B("000111"))
+        assert g.vertices[maps["reversal"](i)] == B("111000")
+        assert g.vertices[maps["complement"](i)] == B("111000")
+        assert g.vertices[maps["reversal"](g.index_of(B("001011")))] == B("110100")
+        assert _automorphisms(G(1, 6, 2)).keys() == {"reversal"}
+
+    def test_orbit_pruning_keeps_alpha(self):
+        # every clique-search graph with n <= 10 (full graphs n <= 9): alpha
+        # with orbit pruning equals alpha without it, which a hand-built copy
+        # of the graph gets
+        params = [(s, n, k) for n in range(11) for s in range(n + 1)
+                  for k in [None] * (n <= 9) + list(range(n + 1))]
+        searched = 0
+        for s, n, k in params:
+            g = G(s, n, k)
+            if _exact_engine(g) != "clique-search":
+                continue
+            searched += 1
+            out = exact_mis(g)
+            plain = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
+            assert _automorphisms(plain) == {}
+            by_plain, exhausted = _clique_search_mis(plain, DEFAULT_NODE_BUDGET)
+            assert not exhausted and len(out) == len(by_plain), (s, n, k)
+        assert searched == 551
+
+    def test_hand_built_graph_gets_no_symmetry(self):
+        # L(1, 5) with the edges of the non-palindromic 00001 dropped
+        g = G(1, 5)
+        cut = g.index_of(B("00001"))
+        adj = tuple(0 if i == cut else mask & ~(1 << cut) for i, mask in enumerate(g.adjacency))
+        h = ConfusabilityGraph(g.params, g.vertices, adj)
+        out = exact_mis(h)
+        assert verify_independent(h, out) and len(out) == brute_force_mis_size(h) == 7
+        # L(1, 9) layer 3 with each vertex's edges moved to the next vertex:
+        # isomorphic, so alpha is 13, but reversal is no longer a symmetry,
+        # and pruning by it would stop at 12
+        g = G(1, 9, 3)
+        v = len(g)
+        adj = [0] * v
+        for i, mask in enumerate(g.adjacency):
+            adj[(i + 1) % v] = sum(1 << (j + 1) % v for j in _iter_bits(mask))
+        h = ConfusabilityGraph(g.params, g.vertices, tuple(adj))
+        out = exact_mis(h)
+        assert verify_independent(h, out) and len(out) == 13
 
     def test_clique_order_routing(self):
         # degeneracy order below density 3/10, ascending degree from it on
@@ -598,6 +673,21 @@ class TestSegmentClique:
             assert len(w.vertices) == expected
             assert len(set(w.vertices)) == expected
             assert _segment_clique_size(l, k, b, c) == expected
+
+    def test_matches_run_length_reference(self):
+        # every family of at most 2,000 members, against the words assembled
+        # from their run lengths
+        for l in range(4, MAX_LENGTH + 1):
+            for k in range(1, (MAX_LENGTH + 3) // (l + 3) + 1):
+                for b, c in itertools.product(range(k + 1), repeat=2):
+                    m = k * (l + 3) - 3
+                    if (b + c > k or m + b - c > MAX_LENGTH
+                            or _segment_clique_size(l, k, b, c) > 2000):
+                        continue
+                    w = segment_clique(l, k, b, c)
+                    members, center = string_segment_clique(l, k, b, c)
+                    assert [str(x) for x in w.vertices] == members, (l, k, b, c)
+                    assert str(w.center) == center, (l, k, b, c)
 
     def test_distances_to_center(self):
         w = segment_clique(4, 2, 1, 1)
