@@ -28,7 +28,8 @@ class BitString:
     """Immutable fixed-length binary word.
 
     Equality is by (length, symbol sequence): ``"0" != "00"``.  Ordering is
-    by length first, then by the value of the word read as a binary numeral.
+    by length first, then by the value of the word read as a binary numeral;
+    ``>`` and ``>=`` are Python's reflections of ``<`` and ``<=``.
     """
 
     __slots__ = ("_n", "_v")
@@ -39,19 +40,14 @@ class BitString:
             self._v = bits._v
             return
         if isinstance(bits, str):
-            n = len(bits)
-            if n > MAX_LENGTH:
-                raise ValueError(f"length {n} exceeds maximum {MAX_LENGTH}")
-            v = 0
-            for ch in bits:
-                if ch == "0":
-                    v <<= 1
-                elif ch == "1":
-                    v = (v << 1) | 1
-                else:
-                    raise ValueError(f"invalid symbol {ch!r} in bit string")
-            self._n = n
-            self._v = v
+            if len(bits) > MAX_LENGTH:
+                raise ValueError(f"length {len(bits)} exceeds maximum {MAX_LENGTH}")
+            # checked first: int() also takes " 01", "0_1" and "+1"
+            bad = bits.strip("01")
+            if bad:
+                raise ValueError(f"invalid symbol {bad[0]!r} in bit string")
+            self._n = len(bits)
+            self._v = int(bits or "0", 2)
             return
         sym = list(bits)
         if len(sym) > MAX_LENGTH:
@@ -120,16 +116,6 @@ class BitString:
         if not isinstance(other, BitString):
             return NotImplemented
         return (self._n, self._v) <= (other._n, other._v)
-
-    def __gt__(self, other: "BitString") -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return (other._n, other._v) < (self._n, self._v)
-
-    def __ge__(self, other: "BitString") -> bool:
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return (other._n, other._v) <= (self._n, self._v)
 
     def __hash__(self) -> int:
         return hash((self._n, self._v))
@@ -235,6 +221,15 @@ def _deletion_ball_bound(v: int, n: int, s: int) -> int:
     return _binom(runs + s - 1, s) if runs else 1
 
 
+def _check_size(n: int, s: int, *, s_up_to_n: bool = True) -> None:
+    """Raise ValueError, naming n and s, unless n >= 0 and s >= 0 and, where
+    ``s_up_to_n``, s <= n."""
+    if s_up_to_n and not 0 <= s <= n:
+        raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
+    if n < 0 or s < 0:
+        raise ValueError(f"require n >= 0 and s >= 0, got n={n}, s={s}")
+
+
 def _refuse_over_cap(size: int, what: str) -> None:
     """Raise CapacityError if a listing of `size` words (or at most that
     many) exceeds 2^22."""
@@ -253,8 +248,7 @@ def _insert_values(words: Iterable[int], n: int, s: int) -> Set[int]:
 def delete_all(x: BitString, s: int) -> Set[BitString]:
     """The set of distinct subsequences of x with s symbols removed."""
     n = len(x)
-    if not 0 <= s <= n:
-        raise ValueError(f"deletion count {s} out of range 0..{n}")
+    _check_size(n, s)
     _refuse_over_cap(_deletion_ball_bound(x.value, n, s),
                      f"deletion balls (Levenshtein's bound, n={n}, s={s})")
     return {BitString.from_value(v, n - s) for v in _deletion_ball(x.value, n, s)}
@@ -262,9 +256,8 @@ def delete_all(x: BitString, s: int) -> Set[BitString]:
 
 def insert_all(x: BitString, s: int) -> Set[BitString]:
     """The set of distinct supersequences of x with s symbols inserted."""
-    if s < 0:
-        raise ValueError(f"insertion count {s} must be nonnegative")
     n = len(x)
+    _check_size(n, s, s_up_to_n=False)
     if n + s > MAX_LENGTH:
         raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
     # Every length-n word has the same number of supersequences.
@@ -300,9 +293,10 @@ def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
     with at most r inserted ones and at most s-r inserted zeros, so no
     supersequence of another weight is ever listed.
     """
+    n, w = len(x), weight(x)
+    _check_size(n, s, s_up_to_n=False)
     if not 0 <= r <= s:
         raise ValueError(f"one-insertion count {r} out of range 0..{s}")
-    n, w = len(x), weight(x)
     if n + s > MAX_LENGTH:
         raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
     _refuse_over_cap(_weighted_insertion_count(s, r, n + s, w + r),
@@ -354,8 +348,7 @@ def confusable_set(x: BitString, s: int) -> Set[BitString]:
     bound on the ball sizes the request.
     """
     n = len(x)
-    if not 0 <= s <= n:
-        raise ValueError(f"deletion count {s} out of range 0..{n}")
+    _check_size(n, s)
     _refuse_over_cap(_deletion_ball_bound(x.value, n, s)
                      * sum(math.comb(n, i) for i in range(s + 1)),
                      f"confusable sets (n={n}, s={s})")

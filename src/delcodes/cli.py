@@ -125,11 +125,8 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
     optimal = args.method == "exact" and not exhausted
     print(f"method={args.method}")
     if args.method == "exact":
-        engine = graph_mod._exact_engine(g)
-        print(f"engine={engine}")
-        if engine == "clique-search":
-            print(f"order={graph_mod._clique_order(g)}")
-            print(f"symmetry={','.join(graph_mod._automorphisms(g))}")
+        for key, value in graph_mod._route(g).items():
+            print(f"{key}={value}")
     print(f"size={len(result)}")
     print(f"optimal={'true' if optimal else 'false'}")
     for v in sorted(result):

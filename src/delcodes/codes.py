@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .bitstring import (
     BitString,
+    _check_size,
     _deletion_ball,
     _deletion_ball_bound,
     _refuse_over_cap,
@@ -49,8 +50,7 @@ class Code:
     provenance: str
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.s < 0:
-            raise ValueError(f"require n >= 0 and s >= 0, got n={self.n}, s={self.s}")
+        _check_size(self.n, self.s, s_up_to_n=False)
 
 
 def make_code(n: int, s: int, words: Iterable[BitString], provenance: str) -> Code:
@@ -101,6 +101,7 @@ def modified_vt_weight(x: BitString) -> int:
 
 def vt_code(n: int, residue: int) -> Code:
     """All length-n words whose weighted sum is the given residue mod n+1."""
+    _check_size(n, 1, s_up_to_n=False)  # a single-deletion code
     if not 0 <= residue <= n:
         raise ValueError(f"residue {residue} out of range 0..{n}")
     words = [BitString.from_value(v, n) for v in _word_values(n) if _vt_color(v, n) == residue]
@@ -149,6 +150,7 @@ def weight_partition_code(n: int, s: int, residue_a: int,
     Valid for s deletions because adjacent words differ in weight by at
     most s, so layers s+1 apart cannot interact.
     """
+    _check_size(n, s, s_up_to_n=False)
     if not 0 <= residue_a <= s:
         raise ValueError(f"residue {residue_a} out of range 0..{s}")
     words: Set[BitString] = set()
@@ -228,6 +230,7 @@ def two_stage_coloring(n: int, s: int,
     single index.  For s = 1 the reduced-modulus layer colorings are used
     by default; for general s a provider must be supplied.
     """
+    _check_size(n, s, s_up_to_n=False)
     if layer_colorings is not None:
         per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
     elif s == 1:
@@ -247,16 +250,14 @@ def two_stage_coloring(n: int, s: int,
 
 def levenshtein_lower_bound(n: int, s: int) -> Fraction:
     """Finite-n floor 2^(n+s) / (I(I-1) + 2^s) on the best code size."""
-    if not 0 <= s <= n:
-        raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
+    _check_size(n, s)
     ins = insertion_count(s, n)
     return Fraction(2 ** (n + s), ins * (ins - 1) + 2**s)
 
 
 def constant_weight_guarantee(n: int, s: int) -> Fraction:
     """Finite-n floor on the best weight-partition code size over residues."""
-    if not 0 <= s <= n:
-        raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
+    _check_size(n, s)
     total = Fraction(0)
     for k in range(n + 1):
         total += Fraction(math.comb(n, k)) / (layer_avg_degree_bound(s, n, k) + 1)
@@ -265,8 +266,7 @@ def constant_weight_guarantee(n: int, s: int) -> Fraction:
 
 def constant_weight_guarantee_asymptotic(n: int, s: int) -> Fraction:
     """Reporting-only asymptotic form 2^(n+3s) / ((s+1) C(2s,s) C(n,s)^2)."""
-    if not 0 <= s <= n:
-        raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
+    _check_size(n, s)
     return Fraction(2 ** (n + 3 * s),
                     (s + 1) * math.comb(2 * s, s) * math.comb(n, s) ** 2)
 
@@ -330,6 +330,7 @@ def chromatic_lower_bound(s: int, n: int) -> int:
     """
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
+    _check_size(n, s, s_up_to_n=False)
     if s > n:
         return 2**n  # complete graph
     best = _best_segment_params(s, n)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitstring import BitString, _weighted_insertion_count, weight
+from .bitstring import BitString, _check_size, _weighted_insertion_count, weight
 
 
 class EncodingError(ValueError):
@@ -21,8 +21,7 @@ class EncodingError(ValueError):
 
 def insertion_count(s: int, n: int) -> int:
     """Number of distinct supersequences of length n of any length-(n-s) word."""
-    if not 0 <= s <= n:
-        raise ValueError(f"insertion count requires 0 <= s <= n, got s={s}, n={n}")
+    _check_size(n, s)
     return sum(math.comb(n, i) for i in range(s + 1))
 
 

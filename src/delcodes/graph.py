@@ -22,9 +22,11 @@ A minimum-degree peel on a bucket queue gives the greedy independent set,
 a maximum-degree peel in O(V + E) the degeneracy order of the exact
 search, and a coloring is checked with one vertex mask per color class.
 
-The exact solver has two engines, chosen by edge density and size.  Dense
-graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
-at most 128 vertices are searched in pure Python as a maximum clique of
+The exact solver has two engines, chosen by edge density and size in one
+place (``_route``), which also names the search order and symmetries and
+whose choices ``delcodes alpha`` prints.  Dense graphs, such as every
+layer for s = 2 up to n = 13, and sparse graphs of at most 128 vertices
+are searched in pure Python as a maximum clique of
 the complement: Tomita et al.'s MCS, with greedy clique-partition bounds
 and the Re-NUMBER step, in the degeneracy order of the complement below
 edge density 3/10 and by ascending degree from it on.  At its root the
@@ -33,7 +35,8 @@ reversal on every graph of :func:`build_graph`, and complement on the
 full graph and the middle layer.  Larger sparse graphs go to HiGHS
 through scipy, with the supersequence cliques as constraint rows; scipy
 is imported only then.  The node budget counts the search nodes of
-whichever engine runs.
+whichever engine runs; when it runs out, the incumbent is the larger of
+the engine's set and the greedy set.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .bitstring import (
     MAX_LENGTH,
     BitString,
     CapacityError,
+    _check_size,
     _deletion_levels,
     _refuse_over_cap,
     _single_deletions,
@@ -158,8 +162,7 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     single deletions, so at level 0 each vertex holds every vertex that
     shares a length-(n-s) subsequence with it, itself included.
     """
-    if not 0 <= s <= n:
-        raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
+    _check_size(n, s)
     if layer is not None and not 0 <= layer <= n:
         raise ValueError(f"layer weight {layer} out of range 0..{n}")
     if n > MAX_LENGTH:
@@ -225,8 +228,7 @@ def degree_stats(g: ConfusabilityGraph) -> Tuple[int, Fraction, int]:
 
 def layer_avg_degree_bound(s: int, n: int, k: int) -> Fraction:
     """Exact rational upper bound on the average degree of one weight layer."""
-    if not 0 <= s <= n:
-        raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
+    _check_size(n, s)
     if not 0 <= k <= n:
         raise ValueError(f"require 0 <= k <= n, got k={k}, n={n}")
     total = 0
@@ -268,28 +270,30 @@ def verify_coloring(g: ConfusabilityGraph, coloring: Mapping[BitString, int]) ->
     return True
 
 
-def _min_degree_peel(adj: Sequence[int]) -> List[int]:
-    """Indices of the vertices taken, in order, by the minimum-degree greedy.
+def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
+    """Maximal independent set via the minimum-degree greedy heuristic.
 
     Each step takes the live vertex with the fewest live neighbors, the
     smallest index on a tie, and removes it with its live neighbors.  The
     vertices are kept in a bucket queue: bucket d is the bitmask of those
     with d live neighbors, and only the neighbors of removed vertices have
-    their count redone.
+    their count redone.  The result meets the Turan guarantee
+    |V| / (avg degree + 1).
     """
+    adj = g.adjacency
     alive = (1 << len(adj)) - 1
     left = [mask.bit_count() for mask in adj]
     buckets = [0] * (max(left, default=0) + 1)
     for i, d in enumerate(left):
         buckets[d] |= 1 << i
-    taken: List[int] = []
+    taken: Set[BitString] = set()
     d = 0
     while alive:
         while not buckets[d]:
             d += 1
         low = buckets[d] & -buckets[d]
         i = low.bit_length() - 1
-        taken.append(i)
+        taken.add(g.vertices[i])
         removed = adj[i] & alive | low
         alive ^= removed
         touched = 0
@@ -307,23 +311,12 @@ def _min_degree_peel(adj: Sequence[int]) -> List[int]:
     return taken
 
 
-def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
-    """Maximal independent set via the minimum-degree greedy heuristic.
-
-    Each step takes a vertex of minimum degree among those left, the
-    smallest one on a tie, and removes it with its neighbors
-    (:func:`_min_degree_peel`).  The result meets the Turan guarantee
-    |V| / (avg degree + 1).
-    """
-    return {g.vertices[i] for i in _min_degree_peel(g.adjacency)}
-
-
 def exact_mis(g: ConfusabilityGraph,
               node_budget: int = DEFAULT_NODE_BUDGET) -> Set[BitString]:
     """Maximum independent set by branch and bound.
 
-    The engine is chosen by :func:`_exact_engine`.  A graph with at least
-    one fifth of all vertex pairs joined, or with at most 128 vertices, is
+    The engine is the one :func:`_route` names.  A graph with at least one
+    fifth of all vertex pairs joined, or with at most 128 vertices, is
     solved in pure Python as a maximum clique of its complement
     (:func:`_clique_search_mis`); a larger sparse one goes to HiGHS through
     scipy (:func:`_highs_mis`), which is imported only then.
@@ -332,17 +325,18 @@ def exact_mis(g: ConfusabilityGraph,
     must come from :func:`build_graph`; either answer is checked against
     ``g.adjacency``, and :class:`RuntimeError` is raised if it is not
     independent or if HiGHS fails.  If the budget runs out,
-    :class:`BudgetExceededError` is raised carrying the best set found so
-    far (else the greedy set).
+    :class:`BudgetExceededError` is raised carrying the incumbent: the
+    larger of the engine's set and :func:`greedy_mis`, the engine's on a tie.
     """
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
-    engine = _highs_mis if _exact_engine(g) == "highs" else _clique_search_mis
+    engine = _highs_mis if _route(g)["engine"] == "highs" else _clique_search_mis
     found, exhausted = engine(g, node_budget)
     if not verify_independent(g, found):
         raise RuntimeError("solver returned a dependent set; the graph does not "
                            f"match its parameters {g.params}")
     if exhausted:
+        found = max(found, greedy_mis(g), key=len)
         raise BudgetExceededError(
             f"node budget {node_budget} exhausted; incumbent has {len(found)} vertices",
             found,
@@ -350,25 +344,25 @@ def exact_mis(g: ConfusabilityGraph,
     return found
 
 
-def _density(g: ConfusabilityGraph) -> Fraction:
-    """Edges over vertex pairs; 1 for a graph of fewer than two vertices."""
+def _route(g: ConfusabilityGraph) -> Dict[str, str]:
+    """How :func:`exact_mis` solves g, as the key=value items ``delcodes
+    alpha`` prints: ``{"engine": "highs"}``, or for the clique search its
+    vertex order, "degeneracy" or "ascending", and the names of the
+    symmetries it prunes by, comma-separated (:func:`_automorphisms`).
+
+    Decided by the edge density (edges over vertex pairs, 1 below two
+    vertices) and the vertex count alone.
+    """
     v = len(g)
-    if v < 2:
-        return Fraction(1)
     edges = sum(mask.bit_count() for mask in g.adjacency) // 2
-    return Fraction(2 * edges, v * (v - 1))
-
-
-def _exact_engine(g: ConfusabilityGraph) -> str:
-    """The engine exact_mis runs on g: "clique-search" or "highs"."""
-    if len(g) > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and _density(g) < _CLIQUE_SEARCH_MIN_DENSITY:
-        return "highs"
-    return "clique-search"
-
-
-def _clique_order(g: ConfusabilityGraph) -> str:
-    """The vertex order of the clique search on g: "degeneracy" or "ascending"."""
-    return "degeneracy" if _density(g) < _DEGENERACY_ORDER_MAX_DENSITY else "ascending"
+    density = Fraction(2 * edges, v * (v - 1)) if v > 1 else Fraction(1)
+    if v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and density < _CLIQUE_SEARCH_MIN_DENSITY:
+        return {"engine": "highs"}
+    return {
+        "engine": "clique-search",
+        "order": "degeneracy" if density < _DEGENERACY_ORDER_MAX_DENSITY else "ascending",
+        "symmetry": ",".join(_automorphisms(g)),
+    }
 
 
 def _degeneracy_order(adjacency: Sequence[int]) -> List[int]:
@@ -411,15 +405,15 @@ def _clique_search_mis(g: ConfusabilityGraph,
     A maximum clique of the complement of g, in the scheme of Tomita et
     al.'s MCS (2010): each node is bounded by a greedy partition of its
     candidates into cliques of g, which no independent set meets twice.
-    A graph of density below _DEGENERACY_ORDER_MAX_DENSITY numbers its
-    vertices in the degeneracy order of the complement
-    (:func:`_degeneracy_order`), a denser one by ascending degree in g
-    (:func:`_clique_order`).  With k = (incumbent size) - (set size), the
+    The vertices are numbered in the order :func:`_route` names: the
+    degeneracy order of the complement (:func:`_degeneracy_order`) on a
+    sparse graph, ascending degree in g on a dense one.  The search starts
+    from an empty incumbent.  With k = (incumbent size) - (set size), the
     first k cliques of a node can only be pruned.  MCS's Re-NUMBER step
     moves each later vertex into one of them where it can, directly or by
     moving its one non-neighbor there into a later one of the k, so fewer
-    vertices are branched on: L(1,7) took 1,797 nodes instead of 2,723,
-    L(2,11) layer 5 194,040 instead of 274,585.
+    vertices are branched on: L(1,7) takes 1,808 nodes instead of 2,729,
+    L(2,11) layer 5 196,321 instead of 275,163.
 
     At the root, whose subproblem every symmetry of g fixes
     (:func:`_automorphisms`), the branch on a vertex covers the sets through
@@ -428,12 +422,13 @@ def _clique_search_mis(g: ConfusabilityGraph,
     Linderoth, Rossi and Smriglio, Math. Program. 2011).  What is left is a
     union of orbits, so every symmetry still fixes it.  The orbit of each
     vertex branched on is found from its three images at most.  This takes
-    L(1,7) to 725 nodes and L(2,11) layer 5 to 103,884.  The greedy set is
-    the first incumbent.  Every branch below the root counts as one node
-    against ``node_budget``; a vertex skipped with an orbit does not.
+    L(1,7) to 736 nodes and L(2,11) layer 5 to 104,790.  Every branch below
+    the root counts as one node against ``node_budget``; a vertex skipped
+    with an orbit does not.
     """
     adj = g.adjacency
-    if _clique_order(g) == "degeneracy":
+    # a graph routed to HiGHS gets no order, and is sparse
+    if _route(g).get("order", "degeneracy") == "degeneracy":
         order = _degeneracy_order(adj)
     else:
         order = sorted(range(len(adj)), key=lambda i: (adj[i].bit_count(), i))
@@ -447,10 +442,7 @@ def _clique_search_mis(g: ConfusabilityGraph,
         near.append(mask)
         apart.append(full & ~(mask | 1 << p))
 
-    greedy = _min_degree_peel(adj)
-    best_size = len(greedy)
-    best = sum(1 << position[i] for i in greedy)
-    nodes = 0
+    best = best_size = nodes = 0
     symmetries = _automorphisms(g).values()
 
     def orbit(p: int) -> int:
@@ -571,12 +563,9 @@ def _highs_mis(g: ConfusabilityGraph,
     exhausted = result.status == 1 or "HiGHS Status 16:" in result.message
     if result.status != 0 and not exhausted:
         raise RuntimeError(f"exact solver failed: {result.message}")
-    found = set()
-    if result.x is not None:
-        found = {v for v, x in zip(g.vertices, result.x) if x > 0.5}
-    if exhausted and not found:
-        found = greedy_mis(g)
-    return found, exhausted
+    if result.x is None:
+        return set(), exhausted
+    return {v for v, x in zip(g.vertices, result.x) if x > 0.5}, exhausted
 
 
 @dataclass(frozen=True)
@@ -593,6 +582,7 @@ def substring_clique(z: BitString, s: int,
                      layer: Optional[int] = None) -> CliqueWitness:
     """The clique of all supersequences of z (optionally restricted to a layer)."""
     n = len(z) + s
+    _check_size(n, s)
     if n > MAX_LENGTH:
         raise ValueError(f"length {n} exceeds maximum {MAX_LENGTH}")
     if layer is None:

@@ -1,6 +1,7 @@
 """Unit and property tests for the bit-string algebra."""
 
 import random
+import re
 import time
 from functools import lru_cache
 
@@ -57,10 +58,14 @@ class TestBitString:
         assert B("0101") == B([0, 1, 0, 1])
 
     def test_invalid_symbols_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid symbol '2'"):
             B("012")
         with pytest.raises(ValueError):
             B([0, 2])
+        # each of these is a valid base-2 numeral for int()
+        for text, symbol in [(" 01", " "), ("0_1", "_"), ("+1", "+"), ("01\n", "\n")]:
+            with pytest.raises(ValueError, match=re.escape(f"invalid symbol {symbol!r}")):
+                B(text)
 
     def test_length_cap(self):
         B("0" * MAX_LENGTH)
@@ -78,6 +83,24 @@ class TestBitString:
         assert B("1") < B("00")
         assert B("01") < B("10")
         assert sorted([B("10"), B("01"), B("1")]) == [B("1"), B("01"), B("10")]
+
+    def test_all_four_comparisons(self):
+        # > and >= come from reflecting < and <=
+        words = [B(""), B("1"), B("00"), B("01"), B("10"), B("000")]
+        for i, x in enumerate(words):
+            for j, y in enumerate(words):
+                assert (x < y, x <= y, x > y, x >= y) == (i < j, i <= j, i > j, i >= j)
+        assert max(words[::-1]) == B("000")
+        assert sorted(words, reverse=True) == words[::-1]
+
+    @pytest.mark.parametrize("compare", [
+        lambda x, y: x < y, lambda x, y: x <= y, lambda x, y: x > y, lambda x, y: x >= y,
+    ], ids=["lt", "le", "gt", "ge"])
+    def test_comparison_with_int_raises(self, compare):
+        with pytest.raises(TypeError):
+            compare(B("01"), 1)
+        with pytest.raises(TypeError):
+            compare(1, B("01"))
 
     def test_concatenation(self):
         assert B("01") + B("10") == B("0110")

@@ -18,6 +18,7 @@ from delcodes import (
     write_code_file,
 )
 from delcodes.cli import main
+from delcodes.graph import _route
 
 from conftest import string_color, string_words
 
@@ -254,9 +255,13 @@ class TestAlpha:
         assert fields["engine"] == engine
         assert fields.get("order") == order
         assert fields.get("symmetry") == symmetry
-        if order:
-            lines = out.splitlines()
-            assert lines.index(f"symmetry={symmetry}") == lines.index(f"order={order}") + 1
+        # the route lines are _route's items, in its order
+        lines = out.splitlines()
+        route = lines[lines.index("method=exact") + 1:lines.index(f"size={fields['size']}")]
+        opts = dict(zip(argv[::2], argv[1::2]))
+        g = build_graph(int(opts["--s"]), int(opts["--n"]),
+                        int(opts["--k"]) if "--k" in opts else None)
+        assert route == [f"{key}={value}" for key, value in _route(g).items()]
         _, out, _ = run(capsys, "alpha", *argv, "--method", "greedy")
         assert "order" not in parse_report(out)
         assert "symmetry" not in parse_report(out)

@@ -12,6 +12,7 @@ from delcodes import (
     CapacityError,
     Code,
     best_segment_clique,
+    build_graph,
     chromatic_certificate,
     chromatic_lower_bound,
     confusable_set,
@@ -22,6 +23,8 @@ from delcodes import (
     find_conflict,
     greedy_layer_solver,
     greedy_mis,
+    insert_all,
+    insert_all_weighted,
     insertion_count,
     layer_code,
     layer_color_solver,
@@ -30,6 +33,7 @@ from delcodes import (
     modified_vt_weight,
     penalty_ratio,
     read_code_file,
+    substring_clique,
     two_stage_coloring,
     verify_clique,
     verify_code,
@@ -110,6 +114,29 @@ def test_word_enumeration_capacity():
                   lambda: chromatic_certificate(23), lambda: two_stage_coloring(23, 1)):
         with pytest.raises(CapacityError, match="n <= 22"):
             build()
+
+
+@pytest.mark.parametrize("call, bad", [
+    (lambda: chromatic_lower_bound(1, -1), "n=-1"),
+    (lambda: two_stage_coloring(-1, 1), "n=-1"),
+    (lambda: vt_code(-1, 0), "n=-1"),
+    (lambda: weight_partition_code(5, -1, 0, greedy_layer_solver), "s=-1"),
+    (lambda: insert_all_weighted(B("0101"), -1, 0), "s=-1"),
+    (lambda: substring_clique(B("0101"), -1, layer=2), "s=-1"),
+    (lambda: insert_all(B("0101"), -1), "s=-1"),
+    (lambda: delete_all(B("0101"), 5), "s=5"),
+    (lambda: confusable_set(B("0101"), -1), "s=-1"),
+    (lambda: insertion_count(4, 3), "s=4"),
+    (lambda: levenshtein_lower_bound(3, 4), "s=4"),
+    (lambda: build_graph(-1, 3), "s=-1"),
+    (lambda: Code(n=-1, s=1, words=(), provenance="vt"), "n=-1"),
+], ids=["chromatic_lower_bound", "two_stage_coloring", "vt_code", "weight_partition_code",
+        "insert_all_weighted", "substring_clique", "insert_all", "delete_all",
+        "confusable_set", "insertion_count", "levenshtein_lower_bound", "build_graph", "Code"])
+def test_size_out_of_range_named(call, bad):
+    # one check for every entry point, naming the bad n or s
+    with pytest.raises(ValueError, match=rf"\b{bad}\b"):
+        call()
 
 
 class TestModifiedVtWeight:

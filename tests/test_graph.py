@@ -42,12 +42,11 @@ from delcodes.bitstring import MAX_LENGTH
 from delcodes.graph import (
     DEFAULT_NODE_BUDGET,
     _automorphisms,
-    _clique_order,
     _clique_search_mis,
     _degeneracy_order,
-    _exact_engine,
     _highs_mis,
     _iter_bits,
+    _route,
     _segment_clique_size,
     _shared_subsequences,
 )
@@ -404,6 +403,25 @@ class TestExactMis:
             exact_mis(g)
         assert info.value.best == greedy_mis(g)
 
+    def test_highs_incumbent_is_at_least_greedy(self, monkeypatch):
+        # HiGHS stops at its limit holding one vertex of L(1, 8)
+        g = G(1, 8)
+        x = [1.0] + [0.0] * (len(g) - 1)
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
+            status=1, message="Iteration limit reached. (HiGHS Status 14: x)", x=x))
+        with pytest.raises(BudgetExceededError) as info:
+            exact_mis(g)
+        assert len(info.value.best) == len(greedy_mis(g)) == 25
+
+    @pytest.mark.parametrize("budget", [0, 1, 3, 10, 30])
+    def test_clique_search_incumbent_is_at_least_greedy(self, budget):
+        # the proof for L(2, 10) layer 5 takes hundreds of nodes
+        g = G(2, 10, 5)
+        with pytest.raises(BudgetExceededError) as info:
+            exact_mis(g, budget)
+        assert verify_independent(g, info.value.best)
+        assert len(info.value.best) >= len(greedy_mis(g)) == 7
+
     @pytest.mark.parametrize("params, count, rows_digest", [
         ((1, 10, 4), 210, "d6799f1d6787fdb9"),
         ((2, 10, 5), 182, "f95daae0a948f6ae"),
@@ -479,14 +497,28 @@ class TestExactMis:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    def test_engine_routing(self):
+    @pytest.mark.parametrize("params, order, symmetry", [
         # HiGHS only for a sparse graph (density below 1/5) of more than 128
         # vertices; the edgeless L(0, 10) returns before scipy is imported
-        assert _exact_engine(G(2, 8, 4)) == "clique-search"  # dense
-        assert _exact_engine(G(1, 7)) == "clique-search"  # sparse, 128 vertices
-        assert _exact_engine(G(1, 10, 3)) == "clique-search"  # sparse, 120 vertices
-        assert _exact_engine(G(1, 8)) == "highs"  # sparse, 256 vertices
-        assert _exact_engine(G(0, 10)) == "highs"
+        ((1, 8, None), None, None),  # 0.118, 256 vertices
+        ((0, 10, None), None, None),
+        # the clique search in degeneracy order below density 3/10, by
+        # ascending degree from it on
+        ((1, 7, None), "degeneracy", "reversal,complement"),  # 0.181, 128 vertices
+        ((1, 10, 3), "degeneracy", "reversal"),  # 0.170, 120 vertices
+        ((1, 9, 3), "degeneracy", "reversal"),  # 0.207
+        ((1, 6, None), "degeneracy", "reversal,complement"),  # 0.269
+        ((2, 12, 6), "degeneracy", "reversal,complement"),  # 0.287
+        ((2, 11, 5), "ascending", "reversal"),  # 0.390
+        ((2, 8, 4), "ascending", "reversal,complement"),  # 0.722
+    ], ids=str)
+    def test_route(self, params, order, symmetry):
+        route = list(_route(G(*params)).items())
+        if order is None:  # no order and no symmetry key
+            assert route == [("engine", "highs")]
+        else:
+            assert route == [("engine", "clique-search"), ("order", order),
+                             ("symmetry", symmetry)]
 
     def test_small_sparse_graph_skips_highs(self, monkeypatch):
         def milp(*args, **kwargs):
@@ -551,7 +583,7 @@ class TestExactMis:
         searched = 0
         for s, n, k in params:
             g = G(s, n, k)
-            if _exact_engine(g) != "clique-search":
+            if _route(g)["engine"] != "clique-search":
                 continue
             searched += 1
             out = exact_mis(g)
@@ -580,15 +612,6 @@ class TestExactMis:
         h = ConfusabilityGraph(g.params, g.vertices, tuple(adj))
         out = exact_mis(h)
         assert verify_independent(h, out) and len(out) == 13
-
-    def test_clique_order_routing(self):
-        # degeneracy order below density 3/10, ascending degree from it on
-        assert _clique_order(G(1, 10, 3)) == "degeneracy"  # 0.170
-        assert _clique_order(G(1, 9, 3)) == "degeneracy"  # 0.207
-        assert _clique_order(G(1, 6)) == "degeneracy"  # 0.269
-        assert _clique_order(G(2, 12, 6)) == "degeneracy"  # 0.287
-        assert _clique_order(G(2, 11, 5)) == "ascending"  # 0.390
-        assert _clique_order(G(2, 8, 4)) == "ascending"  # 0.722
 
     def test_degeneracy_order_matches_reference(self):
         params = [(s, n, k) for n in range(9) for s in range(n + 1)
