@@ -497,28 +497,29 @@ class TestExactMis:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    @pytest.mark.parametrize("params, order, symmetry", [
+    def test_engine_routing(self):
         # HiGHS only for a sparse graph (density below 1/5) of more than 128
         # vertices; the edgeless L(0, 10) returns before scipy is imported
-        ((1, 8, None), None, None),  # 0.118, 256 vertices
-        ((0, 10, None), None, None),
-        # the clique search in degeneracy order below density 3/10, by
-        # ascending degree from it on
-        ((1, 7, None), "degeneracy", "reversal,complement"),  # 0.181, 128 vertices
-        ((1, 10, 3), "degeneracy", "reversal"),  # 0.170, 120 vertices
-        ((1, 9, 3), "degeneracy", "reversal"),  # 0.207
-        ((1, 6, None), "degeneracy", "reversal,complement"),  # 0.269
-        ((2, 12, 6), "degeneracy", "reversal,complement"),  # 0.287
-        ((2, 11, 5), "ascending", "reversal"),  # 0.390
-        ((2, 8, 4), "ascending", "reversal,complement"),  # 0.722
-    ], ids=str)
-    def test_route(self, params, order, symmetry):
-        route = list(_route(G(*params)).items())
-        if order is None:  # no order and no symmetry key
-            assert route == [("engine", "highs")]
-        else:
-            assert route == [("engine", "clique-search"), ("order", order),
-                             ("symmetry", symmetry)]
+        assert _route(G(2, 8, 4))["engine"] == "clique-search"  # dense
+        assert _route(G(1, 7))["engine"] == "clique-search"  # sparse, 128 vertices
+        assert _route(G(1, 10, 3))["engine"] == "clique-search"  # sparse, 120 vertices
+        # a HiGHS route names no order and no symmetry
+        assert list(_route(G(1, 8)).items()) == [("engine", "highs")]  # 0.118, 256 vertices
+        assert list(_route(G(0, 10)).items()) == [("engine", "highs")]
+
+    def test_clique_order_routing(self):
+        # degeneracy order below density 3/10, ascending degree from it on
+        for params, order, symmetry in [
+            ((1, 7, None), "degeneracy", "reversal,complement"),  # 0.181
+            ((1, 10, 3), "degeneracy", "reversal"),  # 0.170
+            ((1, 9, 3), "degeneracy", "reversal"),  # 0.207
+            ((1, 6, None), "degeneracy", "reversal,complement"),  # 0.269
+            ((2, 12, 6), "degeneracy", "reversal,complement"),  # 0.287
+            ((2, 11, 5), "ascending", "reversal"),  # 0.390
+            ((2, 8, 4), "ascending", "reversal,complement"),  # 0.722
+        ]:
+            assert list(_route(G(*params)).items()) == [
+                ("engine", "clique-search"), ("order", order), ("symmetry", symmetry)], params
 
     def test_small_sparse_graph_skips_highs(self, monkeypatch):
         def milp(*args, **kwargs):
