@@ -95,10 +95,7 @@ class BitString:
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        n = self._n + other._n
-        if n > MAX_LENGTH:
-            raise ValueError(f"length {n} exceeds maximum {MAX_LENGTH}")
-        return BitString.from_value((self._v << other._n) | other._v, n)
+        return BitString.from_value((self._v << other._n) | other._v, self._n + other._n)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -142,6 +139,17 @@ def _word_values(n: int, k: Optional[int] = None) -> Sequence[int]:
     if k is None:
         return range(1 << n)
     return [v for v in range(1 << n) if v.bit_count() == k]
+
+
+def _vt_modulus(n: int, k: Optional[int] = None) -> int:
+    """Colors of the weighted-sum coloring of L(1, n), or of its layer k."""
+    return n + 1 if k is None else max(k, n - k) + 1
+
+
+def _vt_color(v: int, n: int, k: Optional[int] = None) -> int:
+    """Sum of the 1-based positions of the ones of packed word v, mod _vt_modulus: the
+    coloring of :mod:`delcodes.codes`'s VT and layer codes, here so lower modules read it."""
+    return sum(n - j for j in range(n) if v >> j & 1) % _vt_modulus(n, k)
 
 
 def _single_deletions(v: int, n: int) -> List[int]:
@@ -221,6 +229,18 @@ def _deletion_ball_bound(v: int, n: int, s: int) -> int:
     return _binom(runs + s - 1, s) if runs else 1
 
 
+def _check_length(n: int) -> None:
+    """Raise CapacityError if a word of n symbols does not fit in a BitString."""
+    if n > MAX_LENGTH:
+        raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
+
+
+def _check_layer(n: int, k: int) -> None:
+    """Raise ValueError unless 0 <= k <= n, the weights of n-symbol words."""
+    if not 0 <= k <= n:
+        raise ValueError(f"layer weight {k} out of range 0..{n}")
+
+
 def _check_size(n: int, s: int, *, s_up_to_n: bool = True) -> None:
     """Raise ValueError, naming n and s, unless n >= 0 and s >= 0 and, where
     ``s_up_to_n``, s <= n."""
@@ -258,11 +278,9 @@ def insert_all(x: BitString, s: int) -> Set[BitString]:
     """The set of distinct supersequences of x with s symbols inserted."""
     n = len(x)
     _check_size(n, s, s_up_to_n=False)
-    if n + s > MAX_LENGTH:
-        raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
+    _check_length(n + s)
     # Every length-n word has the same number of supersequences.
-    _refuse_over_cap(sum(math.comb(n + s, i) for i in range(s + 1)),
-                     f"supersequences (n={n}, s={s})")
+    _refuse_over_cap(_insertion_count(s, n + s), f"supersequences (n={n}, s={s})")
     return {BitString.from_value(v, n + s) for v in _insert_values((x.value,), n, s)}
 
 
@@ -271,6 +289,11 @@ def _binom(n: int, k: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return math.comb(n, k)
+
+
+def _insertion_count(s: int, n: int) -> int:
+    """Number of length-n supersequences of a length-(n-s) word, unchecked."""
+    return sum(math.comb(n, i) for i in range(s + 1))
 
 
 def _weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
@@ -297,8 +320,7 @@ def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
     _check_size(n, s, s_up_to_n=False)
     if not 0 <= r <= s:
         raise ValueError(f"one-insertion count {r} out of range 0..{s}")
-    if n + s > MAX_LENGTH:
-        raise ValueError(f"length {n + s} exceeds maximum {MAX_LENGTH}")
+    _check_length(n + s)
     _refuse_over_cap(_weighted_insertion_count(s, r, n + s, w + r),
                      f"supersequences (n={n}, s={s}, r={r})")
     level = {x.value}
@@ -349,8 +371,7 @@ def confusable_set(x: BitString, s: int) -> Set[BitString]:
     """
     n = len(x)
     _check_size(n, s)
-    _refuse_over_cap(_deletion_ball_bound(x.value, n, s)
-                     * sum(math.comb(n, i) for i in range(s + 1)),
+    _refuse_over_cap(_deletion_ball_bound(x.value, n, s) * _insertion_count(s, n),
                      f"confusable sets (n={n}, s={s})")
     out = _insert_values(_deletion_ball(x.value, n, s), n - s, s)
     out.discard(x.value)

@@ -14,9 +14,8 @@ from collections import Counter
 from fractions import Fraction
 from typing import List, Optional
 
-from . import codes as codes_mod
 from . import counting, graph as graph_mod
-from .bitstring import MAX_LENGTH, BitString, _word_values, delete_all, insert_all
+from .bitstring import BitString, _check_length, _vt_color, _word_values, delete_all, insert_all
 from .codes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
@@ -30,6 +29,7 @@ from .codes import (
     read_code_file,
     verify_code,
     vt_code,
+    vt_weight,
     weight_partition_code,
     write_code_file,
 )
@@ -136,8 +136,7 @@ def _cmd_alpha(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     n, s = args.n, args.s
-    if n > MAX_LENGTH:
-        raise CapacityError(f"bounds limited to n <= {MAX_LENGTH}, got n={n}")
+    _check_length(n)
     # Every value is computed before any is printed, so a usage error
     # leaves no partial report on stdout.
     lines = [
@@ -152,7 +151,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         lines.append(f"chromatic_lower_bound={chromatic_lower_bound(s, n)}")
     if s == 1 and n <= MAX_CONSTRUCT_N:
         # No residue is known to win in general, so report every class size.
-        sizes = Counter(codes_mod._vt_color(v, n) for v in _word_values(n))
+        sizes = Counter(_vt_color(v, n) for v in _word_values(n))
         lines += [f"vt_size_a{a}={sizes[a]}" for a in range(n + 1)]
     print("\n".join(lines))
     return 0
@@ -162,16 +161,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.kind == "clique":
         if args.z is not None:
             witness = substring_clique(BitString(args.z), args.s, args.k)
-            vertices = witness.vertices
-            n = len(args.z) + args.s
         else:
             if None in (args.l, args.segments, args.b, args.c):
                 raise ValueError(
                     "--kind clique requires --z, or --l/--segments/--b/--c"
                 )
             witness = segment_clique(args.l, args.segments, args.b, args.c)
-            vertices = witness.vertices
-            n = len(vertices[0])
+        vertices = witness.vertices
+        n = len(vertices[0])
         # a segment family is a clique for b+c deletions regardless of --s
         s = args.b + args.c if witness.kind == "segment" else args.s
         print(f"# kind={witness.kind} s={s} n={n}")
@@ -244,7 +241,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ok = True
     for n in range(2, min(max_n, 8) + 1):
         g = build_graph(1, n)
-        coloring = {x: codes_mod.vt_weight(x) for x in g.vertices}
+        coloring = {x: vt_weight(x) for x in g.vertices}
         if not graph_mod.verify_coloring(g, coloring):
             ok = False
         _, avg, _ = degree_stats(g)

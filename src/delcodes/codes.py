@@ -17,10 +17,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .bitstring import (
     BitString,
+    _check_layer,
     _check_size,
     _deletion_ball,
     _deletion_ball_bound,
     _refuse_over_cap,
+    _vt_color,
+    _vt_modulus,
     _word_values,
     weight,
 )
@@ -42,7 +45,7 @@ LayerSolver = Callable[[int, int, int], Iterable[BitString]]
 
 @dataclass(frozen=True)
 class Code:
-    """A set of equal-length codewords claiming pairwise deletion distance > 2s."""
+    """A set of codewords, all of length n, claiming pairwise deletion distance > 2s."""
 
     n: int
     s: int
@@ -51,14 +54,13 @@ class Code:
 
     def __post_init__(self) -> None:
         _check_size(self.n, self.s, s_up_to_n=False)
+        for w in self.words:
+            if len(w) != self.n:
+                raise ValueError(f"codeword {w} does not have length {self.n}")
 
 
 def make_code(n: int, s: int, words: Iterable[BitString], provenance: str) -> Code:
-    uniq = sorted(set(words))
-    for w in uniq:
-        if len(w) != n:
-            raise ValueError(f"codeword {w} does not have length {n}")
-    return Code(n=n, s=s, words=tuple(uniq), provenance=provenance)
+    return Code(n=n, s=s, words=tuple(sorted(set(words))), provenance=provenance)
 
 
 @dataclass
@@ -70,16 +72,6 @@ class Coloring:
     layer: Optional[int]
     assignment: Dict[BitString, int]
     num_colors: int
-
-
-def _vt_modulus(n: int, k: Optional[int] = None) -> int:
-    """Colors of the weighted-sum coloring of L(1, n), or of its layer k."""
-    return n + 1 if k is None else max(k, n - k) + 1
-
-
-def _vt_color(v: int, n: int, k: Optional[int] = None) -> int:
-    """Sum of the 1-based positions of the ones of packed word v, mod _vt_modulus."""
-    return sum(n - j for j in range(n) if v >> j & 1) % _vt_modulus(n, k)
 
 
 def _vt_coloring(n: int, k: Optional[int] = None) -> Coloring:
@@ -113,8 +105,7 @@ def layer_code(n: int, k: int) -> Code:
 
     Ties between equally large classes go to the smallest color index.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"require 0 <= k <= n, got k={k}, n={n}")
+    _check_layer(n, k)
     classes: Dict[int, List[int]] = {}
     for v in _word_values(n, k):
         classes.setdefault(_vt_color(v, n, k), []).append(v)
@@ -250,7 +241,6 @@ def two_stage_coloring(n: int, s: int,
 
 def levenshtein_lower_bound(n: int, s: int) -> Fraction:
     """Finite-n floor 2^(n+s) / (I(I-1) + 2^s) on the best code size."""
-    _check_size(n, s)
     ins = insertion_count(s, n)
     return Fraction(2 ** (n + s), ins * (ins - 1) + 2**s)
 
@@ -290,10 +280,9 @@ def chromatic_certificate(n: int, k: Optional[int] = None
             raise ValueError(f"n must be at least 1, got {n}")
         clique = substring_clique(BitString("0" * (n - 1)), 1)
     else:
+        _check_layer(n, k)
         if k in (0, n):
             raise ValueError(f"layer k={k} of n={n} is a single vertex; no certificate needed")
-        if not 0 < k < n:
-            raise ValueError(f"require 1 <= k <= n-1, got k={k}, n={n}")
         if k >= n - k:
             base = BitString("0" * (n - 1 - k) + "1" * k)  # insert a zero: k+1 words
         else:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitstring import BitString, _check_size, _weighted_insertion_count, weight
+from .bitstring import BitString, _check_size, _insertion_count, _weighted_insertion_count, weight
 
 
 class EncodingError(ValueError):
@@ -22,7 +22,7 @@ class EncodingError(ValueError):
 def insertion_count(s: int, n: int) -> int:
     """Number of distinct supersequences of length n of any length-(n-s) word."""
     _check_size(n, s)
-    return sum(math.comb(n, i) for i in range(s + 1))
+    return _insertion_count(s, n)
 
 
 def weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:

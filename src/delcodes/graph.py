@@ -26,17 +26,20 @@ The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
 whose choices ``delcodes alpha`` prints.  Dense graphs, such as every
 layer for s = 2 up to n = 13, and sparse graphs of at most 128 vertices
-are searched in pure Python as a maximum clique of
-the complement: Tomita et al.'s MCS, with greedy clique-partition bounds
-and the Re-NUMBER step, in the degeneracy order of the complement below
-edge density 3/10 and by ascending degree from it on.  At its root the
-search branches on one vertex per orbit of the graph's symmetries: word
+are searched in pure Python as a maximum clique of the complement:
+Tomita et al.'s MCS, with greedy clique-partition bounds and the
+Re-NUMBER step, in the degeneracy order of the complement below edge
+density 3/10 and by ascending degree from it on.  At its root the search
+branches on one vertex per orbit of the graph's symmetries: word
 reversal on every graph of :func:`build_graph`, and complement on the
 full graph and the middle layer.  Larger sparse graphs go to HiGHS
 through scipy, with the supersequence cliques as constraint rows; scipy
-is imported only then.  The node budget counts the search nodes of
-whichever engine runs; when it runs out, the incumbent is the larger of
-the engine's set and the greedy set.
+is imported only then.  Only a graph of :func:`build_graph` is trusted
+to match its parameters, from which HiGHS takes its rows and the search
+its symmetries; one built by hand is trusted for its adjacency alone, so
+it always goes to the clique search, with no symmetries.  The node
+budget counts the search nodes of whichever engine runs; when it runs
+out, the incumbent is the larger of the engine's set and the greedy set.
 """
 
 from __future__ import annotations
@@ -49,9 +52,10 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from .bitstring import (
-    MAX_LENGTH,
     BitString,
     CapacityError,
+    _check_layer,
+    _check_length,
     _check_size,
     _deletion_levels,
     _refuse_over_cap,
@@ -114,8 +118,7 @@ class ConfusabilityGraph:
         self.vertices = vertices
         self.adjacency = adjacency
         self._index: Dict[BitString, int] = {v: i for i, v in enumerate(vertices)}
-        # Set by build_graph, whose graphs have the symmetries of
-        # _automorphisms; a graph built by hand is searched without them.
+        # Set by build_graph only: its params vouch for its adjacency.
         self._from_params = False
 
     def __len__(self) -> int:
@@ -163,10 +166,9 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     shares a length-(n-s) subsequence with it, itself included.
     """
     _check_size(n, s)
-    if layer is not None and not 0 <= layer <= n:
-        raise ValueError(f"layer weight {layer} out of range 0..{n}")
-    if n > MAX_LENGTH:
-        raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
+    if layer is not None:
+        _check_layer(n, layer)
+    _check_length(n)  # before comb(n, layer), which stalls on n = 10**6
     size = 1 << n if layer is None else math.comb(n, layer)
     if size > MAX_VERTICES:
         raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
@@ -229,8 +231,7 @@ def degree_stats(g: ConfusabilityGraph) -> Tuple[int, Fraction, int]:
 def layer_avg_degree_bound(s: int, n: int, k: int) -> Fraction:
     """Exact rational upper bound on the average degree of one weight layer."""
     _check_size(n, s)
-    if not 0 <= k <= n:
-        raise ValueError(f"require 0 <= k <= n, got k={k}, n={n}")
+    _check_layer(n, k)
     total = 0
     for r in range(s + 1):
         if not 0 <= k - r <= n - s:
@@ -318,13 +319,13 @@ def exact_mis(g: ConfusabilityGraph,
     The engine is the one :func:`_route` names.  A graph with at least one
     fifth of all vertex pairs joined, or with at most 128 vertices, is
     solved in pure Python as a maximum clique of its complement
-    (:func:`_clique_search_mis`); a larger sparse one goes to HiGHS through
-    scipy (:func:`_highs_mis`), which is imported only then.
-    ``node_budget`` (nonnegative) bounds the search nodes of whichever
-    engine runs.  HiGHS builds its constraints from ``g.params``, so ``g``
-    must come from :func:`build_graph`; either answer is checked against
-    ``g.adjacency``, and :class:`RuntimeError` is raised if it is not
-    independent or if HiGHS fails.  If the budget runs out,
+    (:func:`_clique_search_mis`); a larger sparse one from
+    :func:`build_graph` goes to HiGHS (:func:`_highs_mis`), which builds
+    its rows from ``g.params``.  A graph built by hand is trusted for its
+    adjacency alone, so it always takes the clique search.  ``node_budget``
+    (nonnegative) bounds the search nodes of either engine.  Either answer
+    is checked against ``g.adjacency``, and :class:`RuntimeError` is raised
+    if it is not independent or if HiGHS fails.  If the budget runs out,
     :class:`BudgetExceededError` is raised carrying the incumbent: the
     larger of the engine's set and :func:`greedy_mis`, the engine's on a tie.
     """
@@ -333,8 +334,7 @@ def exact_mis(g: ConfusabilityGraph,
     engine = _highs_mis if _route(g)["engine"] == "highs" else _clique_search_mis
     found, exhausted = engine(g, node_budget)
     if not verify_independent(g, found):
-        raise RuntimeError("solver returned a dependent set; the graph does not "
-                           f"match its parameters {g.params}")
+        raise RuntimeError("exact solver returned a dependent set")
     if exhausted:
         found = max(found, greedy_mis(g), key=len)
         raise BudgetExceededError(
@@ -351,12 +351,13 @@ def _route(g: ConfusabilityGraph) -> Dict[str, str]:
     symmetries it prunes by, comma-separated (:func:`_automorphisms`).
 
     Decided by the edge density (edges over vertex pairs, 1 below two
-    vertices) and the vertex count alone.
+    vertices) and the vertex count; a graph built by hand never goes to HiGHS.
     """
     v = len(g)
     edges = sum(mask.bit_count() for mask in g.adjacency) // 2
     density = Fraction(2 * edges, v * (v - 1)) if v > 1 else Fraction(1)
-    if v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and density < _CLIQUE_SEARCH_MIN_DENSITY:
+    if (g._from_params and v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES
+            and density < _CLIQUE_SEARCH_MIN_DENSITY):
         return {"engine": "highs"}
     return {
         "engine": "clique-search",
@@ -581,10 +582,7 @@ class CliqueWitness:
 def substring_clique(z: BitString, s: int,
                      layer: Optional[int] = None) -> CliqueWitness:
     """The clique of all supersequences of z (optionally restricted to a layer)."""
-    n = len(z) + s
-    _check_size(n, s)
-    if n > MAX_LENGTH:
-        raise ValueError(f"length {n} exceeds maximum {MAX_LENGTH}")
+    _check_size(len(z), s, s_up_to_n=False)  # first: a negative s leaves r unreachable
     if layer is None:
         return CliqueWitness(
             kind="substring",
@@ -626,8 +624,7 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     if k < 1 or b + c > k:
         raise ValueError(f"require 1 <= k and b + c <= k, got k={k}, b={b}, c={c}")
     m = k * (l + 3) - 3
-    if max(m, m + b - c) > MAX_LENGTH:
-        raise CapacityError(f"string length {max(m, m + b - c)} exceeds {MAX_LENGTH}")
+    _check_length(max(m, m + b - c))
     _refuse_over_cap(_segment_clique_size(l, k, b, c), "segment cliques")
 
     def packed(runs: Iterable[int], symbol: int) -> int:
@@ -702,8 +699,7 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
     if cycle_len < 3:
         raise ValueError(f"cycle length must be at least 3, got {cycle_len}")
     n = (cycle_len - 2) * s + 1
-    if n > MAX_LENGTH:
-        raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
+    _check_length(n)
     xs = [
         BitString("0" * (s * i) + "1" * (s + 1) + "0" * (s * (cycle_len - 3 - i)))
         for i in range(cycle_len - 2)
@@ -715,11 +711,8 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
 
 def imperfectness_witness(s: int, n: int) -> List[BitString]:
     """Five length-n words inducing a chordless 5-cycle for s deletions."""
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
+    cycle = induced_cycle(s, 5)  # checks s >= 1
     if n < 3 * s + 1:
         raise ValueError(f"require n >= 3s + 1 = {3 * s + 1}, got n={n}")
-    if n > MAX_LENGTH:
-        raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
-    pad = BitString("0" * (n - (3 * s + 1)))
-    return [pad + v for v in induced_cycle(s, 5)]
+    _check_length(n)
+    return [BitString("0" * (n - 3 * s - 1)) + v for v in cycle]

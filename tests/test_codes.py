@@ -334,6 +334,14 @@ class TestVerifyCode:
         with pytest.raises(ValueError):
             make_code(4, 1, [B("01")], "search")
 
+    def test_code_length_check(self):
+        # a Code built directly is checked too: verification lists the
+        # length-(n-s) subsequences, which a word of another length lacks
+        with pytest.raises(ValueError, match="does not have length 5"):
+            Code(n=5, s=1, words=(B("011"), B("110")), provenance="x")
+        with pytest.raises(ValueError, match="does not have length 3"):
+            Code(n=3, s=1, words=(B("0000"), B("0111")), provenance="x")
+
     def test_make_code_rejects_negative_parameters(self):
         with pytest.raises(ValueError):
             make_code(4, -1, [B("0101")], "search")

@@ -19,7 +19,6 @@ from delcodes import (
     BudgetExceededError,
     CapacityError,
     ConfusabilityGraph,
-    GraphParams,
     build_graph,
     confusable_set,
     degree_stats,
@@ -374,13 +373,25 @@ class TestExactMis:
         with pytest.raises(ValueError, match="budget"):
             exact_mis(G(1, 4), node_budget=-1)
 
-    def test_graph_not_matching_its_parameters_rejected(self):
-        # the constraints come from the parameters (s = 0: no clique rows),
-        # the check from the sparse s = 1 adjacency, so the set fails the check
-        sparse = G(1, 8)
-        g = ConfusabilityGraph(GraphParams(0, 8), sparse.vertices, sparse.adjacency)
+    def test_graph_not_matching_its_parameters_rejected(self, monkeypatch):
+        # HiGHS's set is checked against the adjacency: all ones is dependent
+        g = G(1, 8)  # sparse enough to reach HiGHS
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *args, **kwargs: SimpleNamespace(
+            status=0, message="Optimization terminated successfully.", x=[1.0] * len(g)))
         with pytest.raises(RuntimeError, match="dependent"):
             exact_mis(g)
+
+    def test_hand_built_sparse_graph_takes_the_clique_search(self):
+        # L(1, 8) keeping only the edges among its first 16 vertices: the
+        # other 240 are isolated, and the first 16 have alpha 4.  HiGHS
+        # would build its rows from the parameters, which no longer hold.
+        g = G(1, 8)
+        keep = (1 << 16) - 1
+        adj = tuple(mask & keep if i < 16 else 0 for i, mask in enumerate(g.adjacency))
+        h = ConfusabilityGraph(g.params, g.vertices, adj)
+        assert _route(h)["engine"] == "clique-search"
+        out = exact_mis(h)
+        assert verify_independent(h, out) and len(out) == 244
 
     @pytest.mark.parametrize("status", [2, 3, 4])
     def test_solver_failure_is_not_budget_exhaustion(self, monkeypatch, status):
@@ -540,8 +551,8 @@ class TestExactMis:
         # degeneracy order below density 3/10 and Re-NUMBER shrink the proofs
         # (ascending degree without Re-NUMBER takes 5398, 5173, 594 and 2723
         # nodes on the first four), and orbit pruning at the root shrinks them
-        # again: 286, 267, 141, 1797 and 1156 nodes without it, 203, 202,
-        # 108, 725 and 428 with it
+        # again: 286, 267, 141, 1797 and 1156 nodes without it, 212, 215,
+        # 55, 736 and 433 with it
         g = G(s, n, k)
         out = exact_mis(g, budget)
         assert len(out) == size and verify_independent(g, out)
