@@ -27,7 +27,7 @@ from .bitstring import (
     _word_values,
     weight,
 )
-from .counting import insertion_count
+from .counting import _check_s_and_p, insertion_count
 from .graph import (
     DEFAULT_NODE_BUDGET,
     CliqueWitness,
@@ -263,8 +263,7 @@ def constant_weight_guarantee_asymptotic(n: int, s: int) -> Fraction:
 
 def penalty_ratio(s: int) -> Fraction:
     """Factor (s+1) C(2s,s) / 4^s separating the two finite-n guarantees."""
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    _check_s_and_p(s)
     return Fraction((s + 1) * math.comb(2 * s, s), 4**s)
 
 

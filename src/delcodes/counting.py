@@ -121,12 +121,17 @@ def decode(x: BitString, z: InsertionEncoding) -> BitString:
     return BitString(out)
 
 
-def f_s_value(s: int, p: float) -> float:
-    """Value of sum_r C(s,r)^2 p^(s-r) (1-p)^r on [0, 1]."""
+def _check_s_and_p(s: int, p: float = 0.0) -> None:
+    """Raise ValueError unless s >= 0 and 0 <= p <= 1, for f_s and its constants."""
     if s < 0:
         raise ValueError(f"s must be nonnegative, got {s}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
+def f_s_value(s: int, p: float) -> float:
+    """Value of sum_r C(s,r)^2 p^(s-r) (1-p)^r on [0, 1]."""
+    _check_s_and_p(s, p)
     return math.fsum(
         math.comb(s, r) ** 2 * p ** (s - r) * (1.0 - p) ** r for r in range(s + 1)
     )
@@ -134,10 +139,7 @@ def f_s_value(s: int, p: float) -> float:
 
 def f_s_value_multinomial(s: int, p: float) -> float:
     """Same polynomial in the basis sum_i multinomial(s; i, i, s-2i) (p(1-p))^i."""
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_s_and_p(s, p)
     q = p * (1.0 - p)
     return math.fsum(
         math.factorial(s)
@@ -149,6 +151,5 @@ def f_s_value_multinomial(s: int, p: float) -> float:
 
 def f_s_bound(s: int) -> float:
     """Supremum of the polynomial over [0, 1], attained at p = 1/2."""
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    _check_s_and_p(s)
     return math.comb(2 * s, s) / 2**s

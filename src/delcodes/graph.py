@@ -18,9 +18,11 @@ word's ball at a time by the same single deletions, without masks
 (``_deletion_ball``).  The equivalence with the pairwise-distance
 definition is exercised by the test suite.
 
-A minimum-degree peel on a bucket queue gives the greedy independent set,
-a maximum-degree peel in O(V + E) the degeneracy order of the exact
-search, and a coloring is checked with one vertex mask per color class.
+One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
+minimum degree and the degeneracy order of the exact search by maximum
+degree, a few whole-mask operations per degree bit and removed vertex.  A
+coloring is checked with one mask per color class.  A graph built by
+hand is checked for the symmetric, loop-free adjacency all three assume.
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
@@ -113,13 +115,16 @@ class ConfusabilityGraph:
     """
 
     def __init__(self, params: GraphParams, vertices: Tuple[BitString, ...],
-                 adjacency: Tuple[int, ...]):
+                 adjacency: Tuple[int, ...], _from_params: bool = False):
         self.params = params
         self.vertices = vertices
         self.adjacency = adjacency
         self._index: Dict[BitString, int] = {v: i for i, v in enumerate(vertices)}
-        # Set by build_graph only: its params vouch for its adjacency.
-        self._from_params = False
+        # Set by build_graph only: its params vouch for its adjacency, which is
+        # symmetric by construction, so only a graph built by hand is checked.
+        self._from_params = _from_params
+        if not _from_params:
+            _check_adjacency(len(vertices), adjacency)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -154,6 +159,18 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_adjacency(v: int, adjacency: Sequence[int]) -> None:
+    """Raise ValueError unless adjacency is v symmetric, loop-free masks of 0..v-1."""
+    if len(adjacency) != v:
+        raise ValueError(f"adjacency has {len(adjacency)} masks for {v} vertices")
+    for i, mask in enumerate(adjacency):
+        if mask >> v or mask >> i & 1:  # a negative mask shifts to -1
+            raise ValueError(f"mask of vertex {i} is not a set of other vertices 0..{v - 1}")
+        for j in _iter_bits(mask):
+            if not adjacency[j] >> i & 1:
+                raise ValueError(f"adjacency not symmetric: {j} in mask {i}, {i} not in {j}")
+
+
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
     """Build the deletion-distance graph for (s, n), optionally one weight layer.
 
@@ -186,9 +203,7 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     adj = tuple(level[v] & ~(1 << i) for i, v in enumerate(vert_values))
 
     vertices = tuple(BitString.from_value(v, n) for v in vert_values)
-    g = ConfusabilityGraph(GraphParams(s, n, layer), vertices, adj)
-    g._from_params = True
-    return g
+    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, adj, _from_params=True)
 
 
 def _automorphisms(g: ConfusabilityGraph) -> Dict[str, Callable[[int], int]]:
@@ -275,41 +290,11 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
     """Maximal independent set via the minimum-degree greedy heuristic.
 
     Each step takes the live vertex with the fewest live neighbors, the
-    smallest index on a tie, and removes it with its live neighbors.  The
-    vertices are kept in a bucket queue: bucket d is the bitmask of those
-    with d live neighbors, and only the neighbors of removed vertices have
-    their count redone.  The result meets the Turan guarantee
+    smallest index on a tie, and removes it with its live neighbors
+    (:func:`_peel`).  The result meets the Turan guarantee
     |V| / (avg degree + 1).
     """
-    adj = g.adjacency
-    alive = (1 << len(adj)) - 1
-    left = [mask.bit_count() for mask in adj]
-    buckets = [0] * (max(left, default=0) + 1)
-    for i, d in enumerate(left):
-        buckets[d] |= 1 << i
-    taken: Set[BitString] = set()
-    d = 0
-    while alive:
-        while not buckets[d]:
-            d += 1
-        low = buckets[d] & -buckets[d]
-        i = low.bit_length() - 1
-        taken.add(g.vertices[i])
-        removed = adj[i] & alive | low
-        alive ^= removed
-        touched = 0
-        for j in _iter_bits(removed):
-            buckets[left[j]] ^= 1 << j
-            touched |= adj[j]
-        for j in _iter_bits(touched & alive):
-            now = (adj[j] & alive).bit_count()
-            if now != left[j]:
-                bit = 1 << j
-                buckets[left[j]] ^= bit
-                buckets[now] |= bit
-                left[j] = now
-                d = min(d, now)
-    return taken
+    return {g.vertices[i] for i in _peel(g.adjacency, fewest=True)}
 
 
 def exact_mis(g: ConfusabilityGraph,
@@ -372,31 +357,54 @@ def _degeneracy_order(adjacency: Sequence[int]) -> List[int]:
     The complement is peeled one vertex per step, the one with the fewest
     non-neighbors left (the smallest index on a tie), and the order is
     reversed so the last one removed comes first.  Fewest non-neighbors
-    left is most neighbors left, so the peel runs on g itself in O(V + E):
-    a bucket queue of live degrees, highest first, where each removed
-    vertex moves its live neighbors one bucket down.
+    left is most neighbors left, so the peel runs on g itself (:func:`_peel`).
     """
+    return _peel(adjacency, fewest=False)[::-1]
+
+
+def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
+    """The vertices a peel takes, in order.
+
+    Each step takes the live vertex with the most live neighbors, or with
+    ``fewest`` the fewest, the smallest index on a tie; with ``fewest`` its
+    live neighbors leave with it.  Live degrees are bit-sliced: ``planes[t]``
+    masks the vertices whose live degree has bit t set.  The vertex is found
+    with one AND per plane, top down; the live neighbors of the leavers are
+    summed into a fresh bit-sliced count, a carry chain per leaver, which one
+    borrow ripple subtracts from the planes.  So a step costs O(log V) mask
+    operations per leaver, not one per vertex whose degree changes.  Degrees
+    count rows and the count columns, so adjacency must be symmetric.
+    """
+    degrees = [mask.bit_count() for mask in adjacency]
+    width = max(degrees, default=0).bit_length()
+    # the degrees as binary rows, vertex 0 last, so each column read as a numeral is a plane
+    rows = [format(d, f"0{width}b") for d in reversed(degrees)]
+    planes = [int("".join(column), 2) for column in zip(*rows)][::-1]
     alive = (1 << len(adjacency)) - 1
-    left = [mask.bit_count() for mask in adjacency]
-    buckets = [0] * (max(left, default=0) + 1)
-    for i, d in enumerate(left):
-        buckets[d] |= 1 << i
-    removed: List[int] = []
-    d = len(buckets) - 1
+    taken: List[int] = []
     while alive:
-        while not buckets[d]:
-            d -= 1
-        low = buckets[d] & -buckets[d]
-        i = low.bit_length() - 1
-        removed.append(i)
-        alive ^= low
-        buckets[d] ^= low
-        for j in _iter_bits(adjacency[i] & alive):
-            bit = 1 << j
-            buckets[left[j]] ^= bit
-            left[j] -= 1
-            buckets[left[j]] |= bit
-    return removed[::-1]
+        pick = alive
+        for plane in reversed(planes):
+            narrowed = pick & ~plane if fewest else pick & plane
+            if narrowed:
+                pick = narrowed
+        low = pick & -pick
+        taken.append(low.bit_length() - 1)
+        leavers = adjacency[taken[-1]] & alive | low if fewest else low
+        alive ^= leavers
+        count = [0] * len(planes)  # at most each live degree, so it fits
+        for j in _iter_bits(leavers):
+            carry, t = adjacency[j] & alive, 0
+            while carry:
+                count[t], carry = count[t] ^ carry, count[t] & carry
+                t += 1
+        borrow = 0
+        for t, c in enumerate(count):
+            if c | borrow:
+                plane = planes[t]
+                planes[t] = plane ^ c ^ borrow
+                borrow = ~plane & (c | borrow) | c & borrow
+    return taken
 
 
 def _clique_search_mis(g: ConfusabilityGraph,

@@ -12,13 +12,14 @@ from types import SimpleNamespace
 
 import pytest
 import scipy.optimize
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from delcodes import (
     BitString,
     BudgetExceededError,
     CapacityError,
     ConfusabilityGraph,
+    GraphParams,
     build_graph,
     confusable_set,
     degree_stats,
@@ -90,7 +91,46 @@ SCAN_GRAPHS = [
     ((3, 11, None), (1721, 1318893, 8), "c8ee856137f87c0d", "12f944766570be0d"),
     ((1, 14, 7), (68, 80505, 285), "839090d9be8c93eb", "e15e6d1e7692eb51"),
     ((2, 13, 6), (550, 316634, 23), "39b1e84fc6b47733", "286a05c4c815ac90"),
+    ((1, 10, None), (70, 24063, 74), "d0d85dfbfebb39e7", "6854466e0f48ab31"),
+    ((1, 11, None), (85, 58367, 131), "16c2c5b74378e9a0", "76c1ef5ff6ae5d6c"),
+    ((2, 11, None), (758, 504451, 21), "2c6184049dc16009", "d1b8827b067eb0c1"),
+    ((1, 13, 6), (58, 34422, 156), "989dd28b2da6bae9", "edf629ed937a47eb"),
 ]
+
+
+def hand_built(adjacency):
+    """A hand-built graph on the first len(adjacency) words of length 6."""
+    vertices = tuple(B.from_value(i, 6) for i in range(len(adjacency)))
+    return ConfusabilityGraph(GraphParams(0, 6), vertices, tuple(adjacency))
+
+
+@st.composite
+def symmetric_adjacency(draw):
+    """Symmetric, loop-free masks of 0-40 vertices: edgeless, complete, or
+    each pair joined with one of a few probabilities."""
+    v = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["random", "edgeless", "complete"]))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.8, 0.95]))
+    rng = draw(st.randoms(use_true_random=False))
+    adjacency = [0] * v
+    for i, j in itertools.combinations(range(v), 2):
+        if kind == "complete" or kind == "random" and rng.random() < density:
+            adjacency[i] |= 1 << j
+            adjacency[j] |= 1 << i
+    return adjacency
+
+
+def rescan_peel(adjacency, fewest):
+    """Reference peel: each step rescans the vertices left and takes the one
+    with the fewest (or most) neighbors left, the lowest index on a tie;
+    with fewest its neighbors leave with it.  Returns the vertices taken."""
+    left, taken = set(range(len(adjacency))), []
+    while left:
+        live = {u: sum(1 for w in left if adjacency[u] >> w & 1) for u in left}
+        i = min(left, key=lambda u: (live[u] if fewest else -live[u], u))
+        taken.append(i)
+        left -= {i} | ({w for w in left if adjacency[i] >> w & 1} if fewest else set())
+    return taken
 
 
 class TestBuildGraph:
@@ -139,6 +179,21 @@ class TestBuildGraph:
         with pytest.raises(CapacityError, match=message):
             build_graph(s, n, layer)
         assert time.perf_counter() - start < 1
+
+    def test_hand_built_adjacency_checked(self):
+        # asymmetric: the greedy set would take all three words, which
+        # verify_independent rejects
+        with pytest.raises(ValueError, match="not symmetric"):
+            hand_built([0b010, 0, 0])
+        with pytest.raises(ValueError, match="0..1"):  # a vertex past the last
+            hand_built([0b1000, 0])
+        with pytest.raises(ValueError, match="0..1"):  # a self-loop
+            hand_built([0b11, 0b01])
+        with pytest.raises(ValueError, match="0..1"):
+            hand_built([-2, 0b01])
+        with pytest.raises(ValueError, match="3 masks for 2 vertices"):
+            ConfusabilityGraph(GraphParams(0, 1), (B("0"), B("1")), (0, 0, 0))
+        assert greedy_mis(hand_built([0b110, 0b001, 0b001])) == {B("000001"), B("000010")}
 
     def test_index_of_unknown_vertex(self):
         with pytest.raises(ValueError):
@@ -338,6 +393,16 @@ class TestGreedyMis:
             if i in chosen:
                 continue
             assert any(g.adjacency[i] >> j & 1 for j in chosen)
+
+
+class TestPeel:
+    @given(symmetric_adjacency())
+    @example([(1 << 33) - 2] + [1] * 32)  # a star, degree 32 in the middle
+    @example([((1 << 33) - 1) ^ 1 << i for i in range(33)])  # K_33: degrees cross 32
+    def test_peels_match_rescanning_references(self, adjacency):
+        g = hand_built(adjacency)
+        assert {g.index_of(x) for x in greedy_mis(g)} == set(rescan_peel(adjacency, True))
+        assert _degeneracy_order(g.adjacency) == rescan_peel(adjacency, False)[::-1]
 
 
 class TestExactMis:
