@@ -139,7 +139,8 @@ def weight_partition_code(n: int, s: int, residue_a: int,
     """Union of per-layer independent sets over weights congruent to a residue.
 
     Valid for s deletions because adjacent words differ in weight by at
-    most s, so layers s+1 apart cannot interact.
+    most s, so layers s+1 apart cannot interact.  ValueError is raised if a
+    layer solver returns a word outside its layer.
     """
     _check_size(n, s, s_up_to_n=False)
     if not 0 <= residue_a <= s:
@@ -147,7 +148,10 @@ def weight_partition_code(n: int, s: int, residue_a: int,
     words: Set[BitString] = set()
     for k in range(n + 1):
         if k % (s + 1) == residue_a:
-            words.update(layer_solver(s, n, k))
+            for x in layer_solver(s, n, k):
+                if weight(x) != k:  # make_code checks the length
+                    raise ValueError(f"layer solver returned {x}, outside layer {k}")
+                words.add(x)
     return make_code(n, s, words, "weight-partition")
 
 

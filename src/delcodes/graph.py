@@ -22,7 +22,8 @@ One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
 minimum degree and the degeneracy order of the exact search by maximum
 degree, a few whole-mask operations per degree bit and removed vertex.  A
 coloring is checked with one mask per color class.  A graph built by
-hand is checked for the symmetric, loop-free adjacency all three assume.
+hand is checked for the symmetric, loop-free adjacency all three assume,
+its masks equal to their transpose (``_transpose``, whole-int swaps).
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
@@ -32,20 +33,18 @@ are searched in pure Python as a maximum clique of the complement:
 Tomita et al.'s MCS, with greedy clique-partition bounds and the
 Re-NUMBER step, in the degeneracy order of the complement below edge
 density 3/10 and by ascending degree from it on.  At its root the search
-branches on one vertex per orbit of the graph's symmetries: word
-reversal on every graph of :func:`build_graph`, and complement on the
-full graph and the middle layer.  Larger sparse graphs go to HiGHS
-through scipy, with the supersequence cliques as constraint rows; scipy
-is imported only then.  Only a graph of :func:`build_graph` is trusted
-to match its parameters, from which HiGHS takes its rows and the search
-its symmetries; one built by hand is trusted for its adjacency alone, so
-it always goes to the clique search, with no symmetries.  The node
+branches on one vertex per orbit of the graph's symmetries among word
+reversal and complement that carry the adjacency onto itself.  Larger
+sparse graphs go to HiGHS through scipy, with the supersequence cliques of
+the graph's parameters as rows, if they are checked to be cliques of the
+graph that cover every edge; scipy is imported only then.  The node
 budget counts the search nodes of whichever engine runs; when it runs
 out, the incumbent is the larger of the engine's set and the greedy set.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -54,11 +53,13 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
                     Tuple)
 
 from .bitstring import (
+    MAX_LAYER_N,
     BitString,
     CapacityError,
     _check_layer,
     _check_length,
     _check_size,
+    _deletion_ball_bound,
     _deletion_levels,
     _refuse_over_cap,
     _single_deletions,
@@ -115,16 +116,17 @@ class ConfusabilityGraph:
     """
 
     def __init__(self, params: GraphParams, vertices: Tuple[BitString, ...],
-                 adjacency: Tuple[int, ...], _from_params: bool = False):
+                 adjacency: Tuple[int, ...], _skip_adjacency_check: bool = False):
         self.params = params
         self.vertices = vertices
-        self.adjacency = adjacency
+        self.adjacency = tuple(adjacency)
         self._index: Dict[BitString, int] = {v: i for i, v in enumerate(vertices)}
-        # Set by build_graph only: its params vouch for its adjacency, which is
-        # symmetric by construction, so only a graph built by hand is checked.
-        self._from_params = _from_params
-        if not _from_params:
-            _check_adjacency(len(vertices), adjacency)
+        if len(self._index) != len(vertices):
+            twice = next(v for i, v in enumerate(vertices) if self._index[v] != i)
+            raise ValueError(f"vertex {twice} appears more than once")
+        self._facts: Dict[Callable, object] = {}  # see _once
+        if not _skip_adjacency_check:  # build_graph's is symmetric and loop-free
+            _check_adjacency(len(vertices), self.adjacency)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -166,32 +168,42 @@ def _check_adjacency(v: int, adjacency: Sequence[int]) -> None:
     for i, mask in enumerate(adjacency):
         if mask >> v or mask >> i & 1:  # a negative mask shifts to -1
             raise ValueError(f"mask of vertex {i} is not a set of other vertices 0..{v - 1}")
-        for j in _iter_bits(mask):
-            if not adjacency[j] >> i & 1:
-                raise ValueError(f"adjacency not symmetric: {j} in mask {i}, {i} not in {j}")
+    for i, (mask, column) in enumerate(zip(adjacency, _transpose(adjacency, v))):
+        if mask != column:
+            raise ValueError(f"adjacency not symmetric at vertex {i}")
 
 
-def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
-    """Build the deletion-distance graph for (s, n), optionally one weight layer.
+def _transpose(rows: Sequence[int], v: int) -> List[int]:
+    """The v columns of the bit matrix with these rows (masks of 0..v-1), by
+    log2 w delta swaps of the rows packed into one int as a w x w matrix, w a
+    power of two (Warren, *Hacker's Delight*, 2nd ed., 7-3): the swap at
+    width j exchanges bit j of the row and column index of every bit."""
+    w = 1 << (max(len(rows), v, 8) - 1).bit_length()
+    width = w // 8  # bytes per row
+    x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
+    for j in (w >> k for k in range(1, w.bit_length())):
+        columns = int(("1" * j + "0" * j) * (w // (2 * j)), 2)  # bit c set iff c & j
+        # those columns of the rows r with r & j clear: bit (r, c) swaps with (r + j, c - j)
+        block = columns.to_bytes(width, "little") * j + bytes(width * j)
+        t = (x ^ x >> j * (w - 1)) & int.from_bytes(block * (w // (2 * j)), "little")
+        x ^= t | t << j * (w - 1)
+    data = x.to_bytes(w * width, "little")
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(v)]
 
-    Two passes over the deletion levels, each costing one OR per (word,
-    single deletion) pair and level.  The up pass
-    (:func:`_deletion_levels`) gives every length-(n-s) word the mask of
-    its supersequence clique.  The down pass carries them back: for
-    j = s-1 down to 0, a length-(n-j) word gets the OR of the masks of its
-    single deletions, so at level 0 each vertex holds every vertex that
-    shares a length-(n-s) subsequence with it, itself included.
-    """
-    _check_size(n, s)
-    if layer is not None:
-        _check_layer(n, layer)
-    _check_length(n)  # before comb(n, layer), which stalls on n = 10**6
-    size = 1 << n if layer is None else math.comb(n, layer)
-    if size > MAX_VERTICES:
-        raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
-    vert_values = _word_values(n, layer)
 
-    keys, level = _deletion_levels(vert_values, n, s)
+def _relabel(adjacency: Sequence[int], order: Sequence[int]) -> List[int]:
+    """Symmetric adjacency with vertex order[p] renamed p: rows reordered, transposed, reordered."""
+    columns = _transpose([adjacency[i] for i in order], len(adjacency))
+    return [columns[i] for i in order]
+
+
+def _down_pass(values: Sequence[int], n: int, s: int) -> Tuple[int, ...]:
+    """The adjacency masks of the graph on these distinct n-symbol words, by
+    one OR per (word, single deletion) pair and level.  The up pass
+    (:func:`_deletion_levels`) gives each length-(n-s) word the mask of its
+    supersequence clique; the down pass ORs a word's single deletions' masks
+    into it, level by level, so each vertex gets its neighbors and itself."""
+    keys, level = _deletion_levels(values, n, s)
     for m in range(n - s + 1, n + 1):
         below, level = level, {}
         for u in keys.pop():
@@ -200,38 +212,61 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
                 mask |= below[z]
             level[u] = mask
         del below
-    adj = tuple(level[v] & ~(1 << i) for i, v in enumerate(vert_values))
+    return tuple(level[v] & ~(1 << i) for i, v in enumerate(values))
 
+
+def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
+    """The deletion-distance graph for (s, n), optionally one weight layer,
+    with edges from :func:`_down_pass`."""
+    _check_size(n, s)
+    if layer is not None:
+        _check_layer(n, layer)
+    _check_length(n)  # before comb(n, layer), which stalls on n = 10**6
+    size = 1 << n if layer is None else math.comb(n, layer)
+    if size > MAX_VERTICES:
+        raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
+    vert_values = _word_values(n, layer)
     vertices = tuple(BitString.from_value(v, n) for v in vert_values)
-    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, adj, _from_params=True)
+    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, _down_pass(vert_values, n, s),
+                              _skip_adjacency_check=True)
 
 
-def _automorphisms(g: ConfusabilityGraph) -> Dict[str, Callable[[int], int]]:
-    """Generators of the symmetries of a :func:`build_graph` graph, by name,
-    as maps of vertex indices; none for a graph built by hand.
+def _once(fact: Callable) -> Callable:
+    """fact(g), computed once per (immutable) graph and kept on it: callers share it."""
+    def known(g: ConfusabilityGraph):
+        return g._facts[fact] if fact in g._facts else g._facts.setdefault(fact, fact(g))
+    return functools.wraps(fact)(known)
 
-    Deleting symbols commutes with reversing a word and with complementing
-    it, so both preserve shared subsequences.  Reversal keeps the weight
-    and maps every graph onto itself; complement maps layer k onto layer
-    n - k, so it is given for the full graph and the middle layer only.
-    The two commute and are involutions, so with reversal-with-complement
-    they make a group of order at most 4.  The maps are evaluated one
-    vertex at a time, so asking for an image costs O(n).
+
+@_once
+def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
+    """Word reversal and complement, by name, as permutations of g's vertex
+    indices (i maps to perm[i]), each kept only if it maps every vertex to a
+    vertex and the adjacency onto itself (:func:`_relabel`).  Both commute
+    with deleting symbols, so :func:`build_graph` graphs keep reversal, and
+    complement on the full graph and the middle layer: a group of order <= 4.
     """
-    if not g._from_params:
-        return {}
-    n, layer = g.params.n, g.params.layer
-    vertices, index = g.vertices, g._index
-
-    def reverse(i: int) -> int:
-        word = format(vertices[i].value, "b").zfill(n)[::-1]
-        return index[BitString.from_value(int(word, 2), n)]
-
-    maps = {"reversal": reverse}
-    if layer is None or 2 * layer == n:
-        full = (1 << n) - 1
-        maps["complement"] = lambda i: index[BitString.from_value(vertices[i].value ^ full, n)]
+    words = [str(x) for x in g.vertices]
+    index = {w: i for i, w in enumerate(words)}
+    flip = str.maketrans("01", "10")
+    maps = {}
+    for name, op in (("reversal", lambda w: w[::-1]), ("complement", lambda w: w.translate(flip))):
+        perm = [index.get(op(w), -1) for w in words]
+        if -1 not in perm and tuple(_relabel(g.adjacency, perm)) == g.adjacency:
+            maps[name] = perm
     return maps
+
+
+@_once
+def _rows_hold(g: ConfusabilityGraph) -> bool:
+    """True iff HiGHS's rows, the supersequence cliques of ``g.params``, are
+    cliques of g covering every edge: :func:`_down_pass` on g's words gives
+    g's adjacency.  False above 2^22 subsequences by Levenshtein's bound."""
+    s, n = g.params.s, g.params.n
+    values = [x.value for x in g.vertices]
+    return (0 <= s <= n and all(len(x) == n for x in g.vertices)
+            and sum(_deletion_ball_bound(v, n, s) for v in values) <= 1 << MAX_LAYER_N
+            and _down_pass(values, n, s) == g.adjacency)
 
 
 def degree_stats(g: ConfusabilityGraph) -> Tuple[int, Fraction, int]:
@@ -301,13 +336,9 @@ def exact_mis(g: ConfusabilityGraph,
               node_budget: int = DEFAULT_NODE_BUDGET) -> Set[BitString]:
     """Maximum independent set by branch and bound.
 
-    The engine is the one :func:`_route` names.  A graph with at least one
-    fifth of all vertex pairs joined, or with at most 128 vertices, is
-    solved in pure Python as a maximum clique of its complement
-    (:func:`_clique_search_mis`); a larger sparse one from
-    :func:`build_graph` goes to HiGHS (:func:`_highs_mis`), which builds
-    its rows from ``g.params``.  A graph built by hand is trusted for its
-    adjacency alone, so it always takes the clique search.  ``node_budget``
+    The engine is the one :func:`_route` names: the clique search of the
+    complement (:func:`_clique_search_mis`), or HiGHS (:func:`_highs_mis`)
+    for a large sparse graph whose rows hold.  ``node_budget``
     (nonnegative) bounds the search nodes of either engine.  Either answer
     is checked against ``g.adjacency``, and :class:`RuntimeError` is raised
     if it is not independent or if HiGHS fails.  If the budget runs out,
@@ -335,14 +366,15 @@ def _route(g: ConfusabilityGraph) -> Dict[str, str]:
     vertex order, "degeneracy" or "ascending", and the names of the
     symmetries it prunes by, comma-separated (:func:`_automorphisms`).
 
-    Decided by the edge density (edges over vertex pairs, 1 below two
-    vertices) and the vertex count; a graph built by hand never goes to HiGHS.
+    HiGHS takes a graph of more than 128 vertices and edge density (edges
+    over vertex pairs, 1 below two vertices) under 1/5 whose rows hold
+    (:func:`_rows_hold`).  Every check reads g's words and adjacency alone.
     """
     v = len(g)
     edges = sum(mask.bit_count() for mask in g.adjacency) // 2
     density = Fraction(2 * edges, v * (v - 1)) if v > 1 else Fraction(1)
-    if (g._from_params and v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES
-            and density < _CLIQUE_SEARCH_MIN_DENSITY):
+    if (v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and density < _CLIQUE_SEARCH_MIN_DENSITY
+            and _rows_hold(g)):
         return {"engine": "highs"}
     return {
         "engine": "clique-search",
@@ -421,8 +453,7 @@ def _clique_search_mis(g: ConfusabilityGraph,
     first k cliques of a node can only be pruned.  MCS's Re-NUMBER step
     moves each later vertex into one of them where it can, directly or by
     moving its one non-neighbor there into a later one of the k, so fewer
-    vertices are branched on: L(1,7) takes 1,808 nodes instead of 2,729,
-    L(2,11) layer 5 196,321 instead of 275,163.
+    vertices are branched on.
 
     At the root, whose subproblem every symmetry of g fixes
     (:func:`_automorphisms`), the branch on a vertex covers the sets through
@@ -441,25 +472,19 @@ def _clique_search_mis(g: ConfusabilityGraph,
         order = _degeneracy_order(adj)
     else:
         order = sorted(range(len(adj)), key=lambda i: (adj[i].bit_count(), i))
-    position = {i: p for p, i in enumerate(order)}
     full = (1 << len(adj)) - 1
-    near, apart = [], []  # the neighbors and non-neighbors of order[p], by position
-    for p, i in enumerate(order):
-        mask = 0
-        for j in _iter_bits(adj[i]):
-            mask |= 1 << position[j]
-        near.append(mask)
-        apart.append(full & ~(mask | 1 << p))
-
+    near = _relabel(adj, order)  # the neighbors of order[p], by position
+    apart = [full & ~(mask | 1 << p) for p, mask in enumerate(near)]
+    position = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+    symmetries = [[position[perm[i]] for i in order] for perm in _automorphisms(g).values()]
     best = best_size = nodes = 0
-    symmetries = _automorphisms(g).values()
 
     def orbit(p: int) -> int:
         """The positions of order[p]'s images under the symmetries of g."""
         found = 1 << p
         for image in symmetries:
             for q in _iter_bits(found):
-                found |= 1 << position[image(order[q])]
+                found |= 1 << image[q]
         return found
 
     def clique_from(free: int) -> int:

@@ -208,6 +208,14 @@ class TestWeightPartitionCode:
                 assert len(code.words) >= weight_partition_size_bound(n, a)
                 assert verify_code(code)
 
+    def test_word_outside_its_layer_rejected(self):
+        # without the check the union would hold 1000 beside 0000, which verify_code rejects
+        def solver(s, n, k):
+            return layer_color_solver(s, n, k) | ({B("1000")} if k == 0 else set())
+
+        with pytest.raises(ValueError, match="returned 1000, outside layer 0"):
+            weight_partition_code(4, 1, 0, solver)
+
     def test_residue_out_of_range(self):
         with pytest.raises(ValueError):
             weight_partition_code(4, 1, 2, layer_color_solver)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 import time
@@ -38,6 +39,7 @@ from delcodes import (
     vt_weight,
     weight,
 )
+from delcodes import graph as graph_module
 from delcodes.bitstring import MAX_LENGTH
 from delcodes.graph import (
     DEFAULT_NODE_BUDGET,
@@ -46,9 +48,11 @@ from delcodes.graph import (
     _degeneracy_order,
     _highs_mis,
     _iter_bits,
+    _relabel,
     _route,
     _segment_clique_size,
     _shared_subsequences,
+    _transpose,
 )
 
 from conftest import (
@@ -193,7 +197,28 @@ class TestBuildGraph:
             hand_built([-2, 0b01])
         with pytest.raises(ValueError, match="3 masks for 2 vertices"):
             ConfusabilityGraph(GraphParams(0, 1), (B("0"), B("1")), (0, 0, 0))
+        # a repeated word: the greedy and exact sets would hold one copy
+        with pytest.raises(ValueError, match="vertex 0 appears more than once"):
+            ConfusabilityGraph(GraphParams(0, 1), (B("0"), B("0")), (0, 0))
         assert greedy_mis(hand_built([0b110, 0b001, 0b001])) == {B("000001"), B("000010")}
+
+    @pytest.mark.parametrize("v", [0, 1, 2, 7, 8, 9, 65, 130])
+    def test_transpose_and_relabel_match_bitwise_references(self, v):
+        rng = random.Random(v)
+        for count in sorted({0, 1, v // 2, v, v + 3}):  # square and rectangular
+            rows = [rng.getrandbits(v) if v else 0 for _ in range(count)]
+            expected = [sum((rows[i] >> j & 1) << i for i in range(count)) for j in range(v)]
+            assert _transpose(rows, v) == expected, (v, count)
+        # a random symmetric adjacency, relabelled by a random order
+        adjacency = [0] * v
+        for i, j in itertools.combinations(range(v), 2):
+            if rng.random() < 0.4:
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+        order = rng.sample(range(v), v)
+        expected = [sum((adjacency[order[p]] >> order[q] & 1) << q for q in range(v))
+                    for p in range(v)]
+        assert _relabel(adjacency, order) == expected
 
     def test_index_of_unknown_vertex(self):
         with pytest.raises(ValueError):
@@ -623,20 +648,19 @@ class TestExactMis:
         assert len(out) == size and verify_independent(g, out)
 
     def test_automorphisms(self):
-        # each map, and reversal with complement, permutes the vertices and
-        # carries every adjacency mask onto the mask of the image
+        # each permutation, and reversal with complement, carries every
+        # adjacency mask onto the mask of the image, checked bit by bit
         for n in range(9):
             for s in range(n + 1):
                 for k in [None] + list(range(n + 1)):
                     g = G(s, n, k)
-                    maps = _automorphisms(g)
+                    maps = dict(_automorphisms(g))
                     assert list(maps) == (["reversal", "complement"]
                                           if k is None or 2 * k == n else ["reversal"])
                     if len(maps) == 2:
-                        maps["reversal,complement"] = (
-                            lambda i: maps["complement"](maps["reversal"](i)))
-                    for name, image in maps.items():
-                        perm = [image(i) for i in range(len(g))]
+                        maps["reversal,complement"] = [maps["complement"][i]
+                                                       for i in maps["reversal"]]
+                    for name, perm in maps.items():
                         assert sorted(perm) == list(range(len(g))), (s, n, k, name)
                         for i, mask in enumerate(g.adjacency):
                             moved = sum(1 << perm[j] for j in _iter_bits(mask))
@@ -646,15 +670,15 @@ class TestExactMis:
         g = G(2, 6, 3)
         maps = _automorphisms(g)
         i = g.index_of(B("000111"))
-        assert g.vertices[maps["reversal"](i)] == B("111000")
-        assert g.vertices[maps["complement"](i)] == B("111000")
-        assert g.vertices[maps["reversal"](g.index_of(B("001011")))] == B("110100")
+        assert g.vertices[maps["reversal"][i]] == B("111000")
+        assert g.vertices[maps["complement"][i]] == B("111000")
+        assert g.vertices[maps["reversal"][g.index_of(B("001011"))]] == B("110100")
         assert _automorphisms(G(1, 6, 2)).keys() == {"reversal"}
 
-    def test_orbit_pruning_keeps_alpha(self):
+    def test_orbit_pruning_keeps_alpha(self, monkeypatch):
         # every clique-search graph with n <= 10 (full graphs n <= 9): alpha
-        # with orbit pruning equals alpha without it, which a hand-built copy
-        # of the graph gets
+        # with orbit pruning equals alpha without it, which a copy of the
+        # graph gets when no symmetry is found
         params = [(s, n, k) for n in range(11) for s in range(n + 1)
                   for k in [None] * (n <= 9) + list(range(n + 1))]
         searched = 0
@@ -665,10 +689,29 @@ class TestExactMis:
             searched += 1
             out = exact_mis(g)
             plain = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
-            assert _automorphisms(plain) == {}
-            by_plain, exhausted = _clique_search_mis(plain, DEFAULT_NODE_BUDGET)
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_module, "_automorphisms", lambda g: {})
+                assert _route(plain)["symmetry"] == ""
+                by_plain, exhausted = _clique_search_mis(plain, DEFAULT_NODE_BUDGET)
             assert not exhausted and len(out) == len(by_plain), (s, n, k)
         assert searched == 551
+
+    def test_hand_built_copies_route_as_the_original(self):
+        # the checks read the words and the adjacency, not who built the graph
+        for n in range(9):
+            for s in range(n + 1):
+                for k in [None] + list(range(n + 1)):
+                    g = G(s, n, k)
+                    copy = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
+                    assert _route(copy) == _route(g), (s, n, k)
+
+    def test_hand_built_copy_of_sparse_graph_takes_highs(self):
+        # L(1, 8) rebuilt by hand: its rows hold, so HiGHS proves alpha 30
+        g = G(1, 8)
+        copy = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
+        assert list(_route(copy).items()) == [("engine", "highs")]
+        out = exact_mis(copy, node_budget=10**5)
+        assert verify_independent(copy, out) and len(out) == 30
 
     def test_hand_built_graph_gets_no_symmetry(self):
         # L(1, 5) with the edges of the non-palindromic 00001 dropped
