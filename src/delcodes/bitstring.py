@@ -9,6 +9,7 @@ values are safe to share across threads.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 MAX_LENGTH = 63
@@ -184,31 +185,32 @@ def _single_insertions(v: int, n: int) -> List[int]:
     return out
 
 
-def _deletion_levels(values: Sequence[int], n: int,
-                     s: int) -> Tuple[List[List[int]], Dict[int, int]]:
+def _deletion_levels(values: Sequence[int], n: int, s: int
+                     ) -> Tuple[List[Tuple[List[int], List[List[int]]]], Dict[int, int]]:
     """The up pass over deletion levels, from the given distinct n-symbol words.
 
     Level 0 maps each word to its own bit (1 << index); level j + 1 maps
     each distinct single deletion z of a level-j word u to the OR of the
     masks of all such u, so a level-j word's mask holds the words whose
-    deletion balls of radius j contain it.  Returns the key lists of
-    levels 0..s-1, and level s: each length-(n-s) word with its mask.
-    Only one level is held as a dict at a time.  It lists the balls of many
-    words at once, for graph edges and solver rows; one word's ball comes
-    from :func:`_deletion_ball`.  Nothing here is sized, so callers size
-    their request first (:func:`_deletion_ball_bound`).
+    deletion balls of radius j contain it.  Returns levels 0..s-1 as (words,
+    each word's distinct single deletions), listed once for this pass and the
+    pass back up, and level s: each length-(n-s) word with its mask.  It
+    lists the balls of many words at once, for graph edges and solver rows;
+    one word's ball comes from :func:`_deletion_ball`.  Nothing here is
+    sized, so callers size their request first (:func:`_deletion_ball_bound`).
     """
-    keys = []
+    levels = []
     level = {v: 1 << i for i, v in enumerate(values)}
     for m in range(n, n - s, -1):
+        rows = list(map(_single_deletions, level, repeat(m)))
+        levels.append((list(level), rows))
         nxt: Dict[int, int] = {}
         get = nxt.get
-        for u, mask in level.items():
-            for z in _single_deletions(u, m):
+        for mask, row in zip(level.values(), rows):
+            for z in row:
                 nxt[z] = get(z, 0) | mask
-        keys.append(list(level))
         level = nxt
-    return keys, level
+    return levels, level
 
 
 def _deletion_ball(v: int, n: int, s: int) -> Set[int]:

@@ -10,11 +10,12 @@ Edges come from the deletion balls of the vertices: the vertices whose
 balls contain one length-(n-s) word z form a clique, and every edge lies
 in such a clique.  The balls are never built one vertex at a time: the
 level pass of :mod:`delcodes.bitstring` (``_deletion_levels``), from the
-vertices down to their length-(n-s) subsequences, gives every such word
-the mask of its clique, and a pass back ORs these into the vertices,
-taking one single deletion per run at each step.  The same pass gives
-the HiGHS model its rows; code verification and confusable sets list one
-word's ball at a time by the same single deletions, without masks
+vertices down to their length-(n-s) subsequences, lists each level's
+single deletions once, one per run, and gives every length-(n-s) word the
+mask of its clique; a pass back up ORs each word's listed deletions'
+masks into it, one ``reduce`` per word.  The bottom level gives the HiGHS
+model its rows; code verification and confusable sets list one word's
+ball at a time by the same single deletions, without masks
 (``_deletion_ball``).  The equivalence with the pairwise-distance
 definition is exercised by the test suite.
 
@@ -23,7 +24,8 @@ minimum degree and the degeneracy order of the exact search by maximum
 degree, a few whole-mask operations per degree bit and removed vertex.  A
 coloring is checked with one mask per color class.  A graph built by
 hand is checked for the symmetric, loop-free adjacency all three assume,
-its masks equal to their transpose (``_transpose``, whole-int swaps).
+its masks equal to their transpose (``_transpose``, three whole-int swaps
+on 8 x 8 bit tiles, which also give the peel its first degree planes).
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
@@ -47,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
@@ -62,7 +65,6 @@ from .bitstring import (
     _deletion_ball_bound,
     _deletion_levels,
     _refuse_over_cap,
-    _single_deletions,
     _word_values,
     insert_all,
     insert_all_weighted,
@@ -174,21 +176,21 @@ def _check_adjacency(v: int, adjacency: Sequence[int]) -> None:
 
 
 def _transpose(rows: Sequence[int], v: int) -> List[int]:
-    """The v columns of the bit matrix with these rows (masks of 0..v-1), by
-    log2 w delta swaps of the rows packed into one int as a w x w matrix, w a
-    power of two (Warren, *Hacker's Delight*, 2nd ed., 7-3): the swap at
-    width j exchanges bit j of the row and column index of every bit."""
-    w = 1 << (max(len(rows), v, 8) - 1).bit_length()
-    width = w // 8  # bytes per row
-    x = int.from_bytes(b"".join(r.to_bytes(width, "little") for r in rows), "little")
-    for j in (w >> k for k in range(1, w.bit_length())):
-        columns = int(("1" * j + "0" * j) * (w // (2 * j)), 2)  # bit c set iff c & j
-        # those columns of the rows r with r & j clear: bit (r, c) swaps with (r + j, c - j)
-        block = columns.to_bytes(width, "little") * j + bytes(width * j)
-        t = (x ^ x >> j * (w - 1)) & int.from_bytes(block * (w // (2 * j)), "little")
-        x ^= t | t << j * (w - 1)
-    data = x.to_bytes(w * width, "little")
-    return [int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(v)]
+    """The v columns of the bit matrix with these rows (masks of 0..v-1): the
+    rows packed at ceil(v/8) bytes each into one int, 8 rows to a tile row,
+    whose 8 x 8 bit tiles three delta swaps transpose in place (Warren,
+    *Hacker's Delight*, 2nd ed., 7-3).  Then row c & 7 of each tile row holds
+    8 bits of column c at byte c >> 3, so a column is one extended slice."""
+    wb, tiles = (max(v, 1) + 7) // 8, (len(rows) + 7) // 8  # bytes per row, tile rows
+    x = int.from_bytes(b"".join(r.to_bytes(wb, "little") for r in rows), "little")
+    for j, byte in ((4, 0xF0), (2, 0xCC), (1, 0xAA)):
+        # bits b & j set of the rows r with r & j clear: (r, b) swaps with (r + j, b - j)
+        tile = (bytes([byte]) * (j * wb) + bytes(j * wb)) * (4 // j)
+        shift = j * (8 * wb - 1)
+        t = (x ^ x >> shift) & int.from_bytes(tile * tiles, "little")
+        x ^= t | t << shift
+    data = x.to_bytes(8 * wb * tiles, "little")
+    return [int.from_bytes(data[(c & 7) * wb + (c >> 3)::8 * wb], "little") for c in range(v)]
 
 
 def _relabel(adjacency: Sequence[int], order: Sequence[int]) -> List[int]:
@@ -198,21 +200,18 @@ def _relabel(adjacency: Sequence[int], order: Sequence[int]) -> List[int]:
 
 
 def _down_pass(values: Sequence[int], n: int, s: int) -> Tuple[int, ...]:
-    """The adjacency masks of the graph on these distinct n-symbol words, by
-    one OR per (word, single deletion) pair and level.  The up pass
-    (:func:`_deletion_levels`) gives each length-(n-s) word the mask of its
-    supersequence clique; the down pass ORs a word's single deletions' masks
-    into it, level by level, so each vertex gets its neighbors and itself."""
-    keys, level = _deletion_levels(values, n, s)
-    for m in range(n - s + 1, n + 1):
-        below, level = level, {}
-        for u in keys.pop():
-            mask = 0
-            for z in _single_deletions(u, m):
-                mask |= below[z]
-            level[u] = mask
-        del below
-    return tuple(level[v] & ~(1 << i) for i, v in enumerate(values))
+    """The adjacency masks of the graph on these distinct n-symbol words.  The
+    up pass (:func:`_deletion_levels`) lists each level's single deletions
+    and gives each length-(n-s) word the mask of its supersequence clique;
+    the down pass ORs the masks of a word's listed deletions into it, one
+    ``reduce`` per word and level, so each vertex gets its neighbors and itself."""
+    levels, below = _deletion_levels(values, n, s)
+    masks = list(below.values())
+    for keys, rows in reversed(levels):
+        get = below.__getitem__
+        masks = [functools.reduce(operator.or_, map(get, row)) for row in rows]
+        below = dict(zip(keys, masks))
+    return tuple(mask & ~(1 << i) for i, mask in enumerate(masks))
 
 
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
@@ -400,18 +399,16 @@ def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
     Each step takes the live vertex with the most live neighbors, or with
     ``fewest`` the fewest, the smallest index on a tie; with ``fewest`` its
     live neighbors leave with it.  Live degrees are bit-sliced: ``planes[t]``
-    masks the vertices whose live degree has bit t set.  The vertex is found
-    with one AND per plane, top down; the live neighbors of the leavers are
-    summed into a fresh bit-sliced count, a carry chain per leaver, which one
-    borrow ripple subtracts from the planes.  So a step costs O(log V) mask
+    masks the vertices whose live degree has bit t set, at first a column of
+    the degrees (:func:`_transpose`).  The vertex is found with one AND per
+    plane, top down; the live neighbors of the leavers are summed into a
+    fresh bit-sliced count, a carry chain per leaver, which one borrow
+    ripple subtracts from the planes.  So a step costs O(log V) mask
     operations per leaver, not one per vertex whose degree changes.  Degrees
     count rows and the count columns, so adjacency must be symmetric.
     """
     degrees = [mask.bit_count() for mask in adjacency]
-    width = max(degrees, default=0).bit_length()
-    # the degrees as binary rows, vertex 0 last, so each column read as a numeral is a plane
-    rows = [format(d, f"0{width}b") for d in reversed(degrees)]
-    planes = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    planes = _transpose(degrees, max(degrees, default=0).bit_length())
     alive = (1 << len(adjacency)) - 1
     taken: List[int] = []
     while alive:

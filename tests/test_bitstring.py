@@ -153,6 +153,24 @@ class TestDeleteAll:
                             == string_subsequences(w, n - s))
                     assert _deletion_ball(B(w).value, n, s) == bottom.keys()
 
+    def test_level_rows_match_string_reference(self):
+        # each level lists each word's distinct single deletions once, for both passes
+        deletions = {}
+        for n in range(9):
+            for layer in [None, *range(n + 1)]:
+                words = [w for w in string_words(n) if layer is None or w.count("1") == layer]
+                for s in range(n + 1):
+                    levels, _ = _deletion_levels([B(w).value for w in words], n, s)
+                    assert len(levels) == s
+                    for m, (keys, rows) in zip(range(n, n - s, -1), levels):
+                        assert len(keys) == len(rows)
+                        for u, row in zip(keys, rows):
+                            w = str(B.from_value(u, m))
+                            if w not in deletions:
+                                deletions[w] = string_subsequences(w, m - 1)
+                            assert len(row) == len(set(row))
+                            assert {str(B.from_value(z, m - 1)) for z in row} == deletions[w]
+
     def test_levenshtein_bound(self):
         # a word with r runs has at most C(r + s - 1, s) distinct s-deletions
         for n in range(11):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -202,10 +203,13 @@ class TestBuildGraph:
             ConfusabilityGraph(GraphParams(0, 1), (B("0"), B("0")), (0, 0))
         assert greedy_mis(hand_built([0b110, 0b001, 0b001])) == {B("000001"), B("000010")}
 
-    @pytest.mark.parametrize("v", [0, 1, 2, 7, 8, 9, 65, 130])
+    @pytest.mark.parametrize("v", [0, 1, 2, 7, 8, 9, 11, 16, 17, 65, 130, 257])
     def test_transpose_and_relabel_match_bitwise_references(self, v):
         rng = random.Random(v)
-        for count in sorted({0, 1, v // 2, v, v + 3}):  # square and rectangular
+        counts = {0, 1, v // 2, v, v + 3}  # square and rectangular
+        if v in (0, 1, 11, 16):  # the peel's degree planes: many short rows
+            counts |= {7, 9, 462, 3432}
+        for count in sorted(counts):
             rows = [rng.getrandbits(v) if v else 0 for _ in range(count)]
             expected = [sum((rows[i] >> j & 1) << i for i in range(count)) for j in range(v)]
             assert _transpose(rows, v) == expected, (v, count)
@@ -219,6 +223,21 @@ class TestBuildGraph:
         expected = [sum((adjacency[order[p]] >> order[q] & 1) << q for q in range(v))
                     for p in range(v)]
         assert _relabel(adjacency, order) == expected
+
+    def test_transpose_memory_stays_near_the_packed_matrix(self):
+        # 8 x 8 tiles need no power-of-two square: 4097 rows cost about what 4096 do
+        v = 4097
+        rng = random.Random(v)
+        rows = [rng.getrandbits(v) for _ in range(v)]
+        tracemalloc.start()
+        try:
+            columns = _transpose(rows, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * v * ((v + 7) // 8), peak
+        for j in (0, 7, 8, 4095, 4096):
+            assert columns[j] == sum((row >> j & 1) << i for i, row in enumerate(rows))
 
     def test_index_of_unknown_vertex(self):
         with pytest.raises(ValueError):
