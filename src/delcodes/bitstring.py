@@ -9,13 +9,14 @@ values are safe to share across threads.
 from __future__ import annotations
 
 import math
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
 
 MAX_LENGTH = 63
 # Largest n whose words are enumerated all at once (2^22 of them); 2^22 also
-# caps the words insert_all and insert_all_weighted return, and the deletion
-# balls that delete_all, confusable_set and code verification may list.
+# caps the words insert_all and insert_all_weighted return, the deletion
+# balls that delete_all, confusable_set and code verification may list, and
+# the balls the exact solver lists to check a graph's rows (Levenshtein's
+# bound, summed over the words).
 MAX_LAYER_N = 22
 
 BitsLike = Union[str, Iterable[int], "BitString"]
@@ -55,7 +56,7 @@ class BitString:
             raise ValueError(f"length {len(sym)} exceeds maximum {MAX_LENGTH}")
         v = 0
         for b in sym:
-            if b not in (0, 1):
+            if not isinstance(b, int) or b not in (0, 1):  # 1.0 == 1, but int | 1.0 fails
                 raise ValueError(f"invalid symbol {b!r} in bit sequence")
             v = (v << 1) | b
         self._n = len(sym)
@@ -64,6 +65,8 @@ class BitString:
     @classmethod
     def from_value(cls, value: int, length: int) -> "BitString":
         """Build from a packed integer whose bit length-1-i holds symbol i."""
+        if not (isinstance(value, int) and isinstance(length, int)):
+            raise TypeError(f"value and length must be integers, got {value!r} and {length!r}")
         if not 0 <= length <= MAX_LENGTH:
             raise ValueError(f"length {length} out of range 0..{MAX_LENGTH}")
         if not 0 <= value < (1 << length):
@@ -185,38 +188,12 @@ def _single_insertions(v: int, n: int) -> List[int]:
     return out
 
 
-def _deletion_levels(values: Sequence[int], n: int, s: int
-                     ) -> Tuple[List[Tuple[List[int], List[List[int]]]], Dict[int, int]]:
-    """The up pass over deletion levels, from the given distinct n-symbol words.
-
-    Level 0 maps each word to its own bit (1 << index); level j + 1 maps
-    each distinct single deletion z of a level-j word u to the OR of the
-    masks of all such u, so a level-j word's mask holds the words whose
-    deletion balls of radius j contain it.  Returns levels 0..s-1 as (words,
-    each word's distinct single deletions), listed once for this pass and the
-    pass back up, and level s: each length-(n-s) word with its mask.  It
-    lists the balls of many words at once, for graph edges and solver rows;
-    one word's ball comes from :func:`_deletion_ball`.  Nothing here is
-    sized, so callers size their request first (:func:`_deletion_ball_bound`).
-    """
-    levels = []
-    level = {v: 1 << i for i, v in enumerate(values)}
-    for m in range(n, n - s, -1):
-        rows = list(map(_single_deletions, level, repeat(m)))
-        levels.append((list(level), rows))
-        nxt: Dict[int, int] = {}
-        get = nxt.get
-        for mask, row in zip(level.values(), rows):
-            for z in row:
-                nxt[z] = get(z, 0) | mask
-        level = nxt
-    return levels, level
-
-
 def _deletion_ball(v: int, n: int, s: int) -> Set[int]:
     """The distinct length-(n-s) subsequences of an n-symbol word v, as
-    packed values: the same levels as :func:`_deletion_levels` without the
-    masks.  Unsized, like it."""
+    packed values: one level of :func:`_single_deletions` per deletion.
+    The graph's level pass (``delcodes.graph._deletion_masks``) lists the
+    balls of many words at once by the same single deletions.  Nothing here
+    is sized, so callers size their request first (:func:`_deletion_ball_bound`)."""
     level = {v}
     for m in range(n, n - s, -1):
         level = {z for u in level for z in _single_deletions(u, m)}

@@ -8,15 +8,17 @@ restricts the vertex set to a single Hamming weight.
 
 Edges come from the deletion balls of the vertices: the vertices whose
 balls contain one length-(n-s) word z form a clique, and every edge lies
-in such a clique.  The balls are never built one vertex at a time: the
-level pass of :mod:`delcodes.bitstring` (``_deletion_levels``), from the
-vertices down to their length-(n-s) subsequences, lists each level's
-single deletions once, one per run, and gives every length-(n-s) word the
-mask of its clique; a pass back up ORs each word's listed deletions'
-masks into it, one ``reduce`` per word.  The bottom level gives the HiGHS
-model its rows; code verification and confusable sets list one word's
-ball at a time by the same single deletions, without masks
-(``_deletion_ball``).  The equivalence with the pairwise-distance
+in such a clique.  The balls are never built one vertex at a time: one
+level pass (``_deletion_masks``), from the vertices down to their
+length-(n-s) subsequences, lists each level's single deletions once, one
+per run, and gives every length-(n-s) word the mask of its clique; the
+pass back up ORs each word's listed deletions' masks into it, one
+``reduce`` per word.  It returns the adjacency and the bottom level, whose
+cliques of two or more are the HiGHS model's rows, read once the same pass
+over a graph's own words has given its adjacency (``_highs_rows``).  Code
+verification and confusable sets list one word's ball at a time by the
+same single deletions, without masks (:mod:`delcodes.bitstring`'s
+``_deletion_ball``).  The equivalence with the pairwise-distance
 definition is exercised by the test suite.
 
 One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
@@ -37,11 +39,10 @@ Re-NUMBER step, in the degeneracy order of the complement below edge
 density 3/10 and by ascending degree from it on.  At its root the search
 branches on one vertex per orbit of the graph's symmetries among word
 reversal and complement that carry the adjacency onto itself.  Larger
-sparse graphs go to HiGHS through scipy, with the supersequence cliques of
-the graph's parameters as rows, if they are checked to be cliques of the
-graph that cover every edge; scipy is imported only then.  The node
-budget counts the search nodes of whichever engine runs; when it runs
-out, the incumbent is the larger of the engine's set and the greedy set.
+sparse graphs go to HiGHS through scipy, with those rows, if they hold;
+scipy is imported only then.  The node budget counts the search nodes of
+whichever engine runs; when it runs out, the incumbent is the larger of
+the engine's set and the greedy set.
 """
 
 from __future__ import annotations
@@ -63,8 +64,8 @@ from .bitstring import (
     _check_length,
     _check_size,
     _deletion_ball_bound,
-    _deletion_levels,
     _refuse_over_cap,
+    _single_deletions,
     _word_values,
     insert_all,
     insert_all_weighted,
@@ -199,24 +200,40 @@ def _relabel(adjacency: Sequence[int], order: Sequence[int]) -> List[int]:
     return [columns[i] for i in order]
 
 
-def _down_pass(values: Sequence[int], n: int, s: int) -> Tuple[int, ...]:
-    """The adjacency masks of the graph on these distinct n-symbol words.  The
-    up pass (:func:`_deletion_levels`) lists each level's single deletions
-    and gives each length-(n-s) word the mask of its supersequence clique;
-    the down pass ORs the masks of a word's listed deletions into it, one
-    ``reduce`` per word and level, so each vertex gets its neighbors and itself."""
-    levels, below = _deletion_levels(values, n, s)
-    masks = list(below.values())
-    for keys, rows in reversed(levels):
+def _deletion_masks(values: Sequence[int], n: int, s: int
+                    ) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """(adjacency masks, bottom level) of the graph on these distinct n-symbol words.
+
+    Going down, each level lists its words' distinct single deletions once,
+    one per run, and maps each to the OR of the masks of the words it came
+    from, each word's own bit at the top; so the bottom level maps each
+    length-(n-s) word to the mask of its supersequence clique.  Going back
+    up, each word ORs the masks of its listed deletions, one ``reduce`` per
+    word, so each vertex gets its neighbors and itself.  Unsized: callers
+    size the request first (:func:`_deletion_ball_bound`)."""
+    levels = []  # (words, each word's single deletions) of levels 0..s-1
+    level = {v: 1 << i for i, v in enumerate(values)}
+    for m in range(n, n - s, -1):
+        rows = list(map(_single_deletions, level, itertools.repeat(m)))
+        levels.append((list(level), rows))
+        nxt: Dict[int, int] = {}
+        get = nxt.get
+        for mask, row in zip(level.values(), rows):
+            for z in row:
+                nxt[z] = get(z, 0) | mask
+        level = nxt
+    below = bottom = level
+    masks = list(bottom.values())
+    for words, rows in reversed(levels):
         get = below.__getitem__
         masks = [functools.reduce(operator.or_, map(get, row)) for row in rows]
-        below = dict(zip(keys, masks))
-    return tuple(mask & ~(1 << i) for i, mask in enumerate(masks))
+        below = dict(zip(words, masks))
+    return tuple(mask & ~(1 << i) for i, mask in enumerate(masks)), bottom
 
 
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
     """The deletion-distance graph for (s, n), optionally one weight layer,
-    with edges from :func:`_down_pass`."""
+    with edges from :func:`_deletion_masks`."""
     _check_size(n, s)
     if layer is not None:
         _check_layer(n, layer)
@@ -226,7 +243,8 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
         raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
     vert_values = _word_values(n, layer)
     vertices = tuple(BitString.from_value(v, n) for v in vert_values)
-    return ConfusabilityGraph(GraphParams(s, n, layer), vertices, _down_pass(vert_values, n, s),
+    return ConfusabilityGraph(GraphParams(s, n, layer), vertices,
+                              _deletion_masks(vert_values, n, s)[0],
                               _skip_adjacency_check=True)
 
 
@@ -257,15 +275,20 @@ def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
 
 
 @_once
-def _rows_hold(g: ConfusabilityGraph) -> bool:
-    """True iff HiGHS's rows, the supersequence cliques of ``g.params``, are
-    cliques of g covering every edge: :func:`_down_pass` on g's words gives
-    g's adjacency.  False above 2^22 subsequences by Levenshtein's bound."""
+def _highs_rows(g: ConfusabilityGraph) -> Optional[List[List[int]]]:
+    """HiGHS's rows: the supersequence cliques of two or more of g's words,
+    as vertex indices in bottom-level order, if :func:`_deletion_masks` on
+    g's words gives g's adjacency, so that they are cliques of g covering
+    every edge.  Else None, as when s is not in 0..n, a word is not n
+    symbols long, or Levenshtein's bound passes 2^22."""
     s, n = g.params.s, g.params.n
     values = [x.value for x in g.vertices]
-    return (0 <= s <= n and all(len(x) == n for x in g.vertices)
-            and sum(_deletion_ball_bound(v, n, s) for v in values) <= 1 << MAX_LAYER_N
-            and _down_pass(values, n, s) == g.adjacency)
+    if not (0 <= s <= n and all(len(x) == n for x in g.vertices)
+            and sum(_deletion_ball_bound(v, n, s) for v in values) <= 1 << MAX_LAYER_N):
+        return None
+    adjacency, bottom = _deletion_masks(values, n, s)
+    rows = [list(_iter_bits(mask)) for mask in bottom.values() if mask & (mask - 1)]
+    return rows if adjacency == g.adjacency else None
 
 
 def degree_stats(g: ConfusabilityGraph) -> Tuple[int, Fraction, int]:
@@ -337,13 +360,15 @@ def exact_mis(g: ConfusabilityGraph,
 
     The engine is the one :func:`_route` names: the clique search of the
     complement (:func:`_clique_search_mis`), or HiGHS (:func:`_highs_mis`)
-    for a large sparse graph whose rows hold.  ``node_budget``
-    (nonnegative) bounds the search nodes of either engine.  Either answer
-    is checked against ``g.adjacency``, and :class:`RuntimeError` is raised
-    if it is not independent or if HiGHS fails.  If the budget runs out,
-    :class:`BudgetExceededError` is raised carrying the incumbent: the
+    for a large sparse graph whose rows hold.  ``node_budget``, a
+    nonnegative integer, bounds the search nodes of either engine.  Either
+    answer is checked against ``g.adjacency``, and :class:`RuntimeError` is
+    raised if it is not independent or if HiGHS fails.  If the budget runs
+    out, :class:`BudgetExceededError` is raised carrying the incumbent: the
     larger of the engine's set and :func:`greedy_mis`, the engine's on a tie.
     """
+    if not isinstance(node_budget, int):  # before scipy, whose option check rejects it
+        raise TypeError(f"node budget must be an integer, got {node_budget!r}")
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     engine = _highs_mis if _route(g)["engine"] == "highs" else _clique_search_mis
@@ -367,13 +392,13 @@ def _route(g: ConfusabilityGraph) -> Dict[str, str]:
 
     HiGHS takes a graph of more than 128 vertices and edge density (edges
     over vertex pairs, 1 below two vertices) under 1/5 whose rows hold
-    (:func:`_rows_hold`).  Every check reads g's words and adjacency alone.
+    (:func:`_highs_rows`).  Every check reads g's words and adjacency alone.
     """
     v = len(g)
     edges = sum(mask.bit_count() for mask in g.adjacency) // 2
     density = Fraction(2 * edges, v * (v - 1)) if v > 1 else Fraction(1)
     if (v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and density < _CLIQUE_SEARCH_MIN_DENSITY
-            and _rows_hold(g)):
+            and _highs_rows(g) is not None):
         return {"engine": "highs"}
     return {
         "engine": "clique-search",
@@ -553,25 +578,19 @@ def _clique_search_mis(g: ConfusabilityGraph,
     return {g.vertices[order[p]] for p in _iter_bits(best)}, exhausted
 
 
-def _shared_subsequences(values: Sequence[int], n: int, s: int) -> Dict[int, int]:
-    """Each length-(n-s) word in the deletion balls of two or more of the
-    given distinct n-symbol words, with the mask of those words: the
-    supersequence cliques, as the bottom level of :func:`_deletion_levels`."""
-    _, bottom = _deletion_levels(values, n, s)
-    return {z: mask for z, mask in bottom.items() if mask & (mask - 1)}
-
-
 def _highs_mis(g: ConfusabilityGraph,
                node_budget: int) -> Tuple[Set[BitString], bool]:
     """(maximum independent set, budget exhausted) by the HiGHS branch and bound.
 
     One binary variable per vertex, zero optimality gap.  Each
     supersequence clique is one constraint: at most one vertex whose
-    deletion ball holds a given length-(n-s) word.  :class:`RuntimeError`
-    is raised if HiGHS stops for a reason other than its node limit.
+    deletion ball holds a given length-(n-s) word (:func:`_highs_rows`).
+    :class:`ValueError` is raised if those rows do not hold on g, and
+    :class:`RuntimeError` if HiGHS stops for a reason other than its node limit.
     """
-    shared = _shared_subsequences([v.value for v in g.vertices], g.params.n, g.params.s)
-    cliques = [list(_iter_bits(mask)) for mask in shared.values()]
+    cliques = _highs_rows(g)
+    if cliques is None:
+        raise ValueError("the supersequence cliques of g's parameters are not g's edges")
     if not cliques:
         return set(g.vertices), False
     import numpy as np

@@ -22,12 +22,14 @@ from delcodes import (
     lcs_length,
     weight,
 )
+from delcodes import graph as graph_module
 from delcodes.bitstring import (
     _deletion_ball,
     _deletion_ball_bound,
-    _deletion_levels,
+    _single_deletions,
     _single_insertions,
 )
+from delcodes.graph import _deletion_masks
 
 from conftest import string_lcs, string_subsequences, string_supersequences, string_words
 
@@ -62,6 +64,10 @@ class TestBitString:
             B("012")
         with pytest.raises(ValueError):
             B([0, 2])
+        # equal to a symbol, but not an int: rejected like any other symbol
+        for bad in (1.0, 0.0, "1"):
+            with pytest.raises(ValueError, match=re.escape(f"invalid symbol {bad!r}")):
+                B([bad, 0])
         # each of these is a valid base-2 numeral for int()
         for text, symbol in [(" 01", " "), ("0_1", "_"), ("+1", "+"), ("01\n", "\n")]:
             with pytest.raises(ValueError, match=re.escape(f"invalid symbol {symbol!r}")):
@@ -112,6 +118,10 @@ class TestBitString:
             B.from_value(16, 4)
         with pytest.raises(ValueError):
             B.from_value(0, 64)
+        # a float in range would make a word that cannot be printed
+        for value, length in [(1.5, 2), (1.0, 2), (1, 2.0)]:
+            with pytest.raises(TypeError, match="must be integers"):
+                B.from_value(value, length)
 
     def test_hashable_and_usable_in_sets(self):
         assert len({B("01"), B("01"), B("10")}) == 2
@@ -147,29 +157,36 @@ class TestDeleteAll:
         for n in range(9):
             for w in string_words(n):
                 for s in range(n + 1):
-                    _, bottom = _deletion_levels([B(w).value], n, s)
+                    adjacency, bottom = _deletion_masks([B(w).value], n, s)
+                    assert adjacency == (0,)
                     assert set(bottom.values()) == {1}
                     assert ({str(B.from_value(z, n - s)) for z in bottom}
                             == string_subsequences(w, n - s))
                     assert _deletion_ball(B(w).value, n, s) == bottom.keys()
 
-    def test_level_rows_match_string_reference(self):
-        # each level lists each word's distinct single deletions once, for both passes
-        deletions = {}
+    def test_level_rows_match_string_reference(self, monkeypatch):
+        # each word's listed deletions are its distinct single deletions ...
+        for m in range(1, 9):
+            for w in string_words(m):
+                row = _single_deletions(B(w).value, m)
+                assert len(row) == len(set(row))
+                assert {str(B.from_value(z, m - 1)) for z in row} == string_subsequences(w, m - 1)
+        # ... and the level pass lists them once per word of each level
+        listed = []
+        monkeypatch.setattr(graph_module, "_single_deletions",
+                            lambda v, m: listed.append(str(B.from_value(v, m)))
+                            or _single_deletions(v, m))
         for n in range(9):
             for layer in [None, *range(n + 1)]:
                 words = [w for w in string_words(n) if layer is None or w.count("1") == layer]
                 for s in range(n + 1):
-                    levels, _ = _deletion_levels([B(w).value for w in words], n, s)
-                    assert len(levels) == s
-                    for m, (keys, rows) in zip(range(n, n - s, -1), levels):
-                        assert len(keys) == len(rows)
-                        for u, row in zip(keys, rows):
-                            w = str(B.from_value(u, m))
-                            if w not in deletions:
-                                deletions[w] = string_subsequences(w, m - 1)
-                            assert len(row) == len(set(row))
-                            assert {str(B.from_value(z, m - 1)) for z in row} == deletions[w]
+                    listed.clear()
+                    _deletion_masks([B(w).value for w in words], n, s)
+                    expected, level = [], set(words)
+                    for m in range(n, n - s, -1):
+                        expected += sorted(level)
+                        level = {z for w in level for z in string_subsequences(w, m - 1)}
+                    assert sorted(listed) == sorted(expected), (n, layer, s)
 
     def test_levenshtein_bound(self):
         # a word with r runs has at most C(r + s - 1, s) distinct s-deletions

@@ -48,11 +48,11 @@ from delcodes.graph import (
     _clique_search_mis,
     _degeneracy_order,
     _highs_mis,
+    _highs_rows,
     _iter_bits,
     _relabel,
     _route,
     _segment_clique_size,
-    _shared_subsequences,
     _transpose,
 )
 
@@ -294,9 +294,10 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("s, n, layer", [(1, 8, None), (1, 10, 4)])
     def test_supersequence_cliques_match_grouping(self, s, n, layer):
-        # the shared subsequences are the groups of two or more, as sets
-        values = [v.value for v in G(s, n, layer).vertices]
-        rows = [list(_iter_bits(mask)) for mask in _shared_subsequences(values, n, s).values()]
+        # HiGHS's rows are the groups of two or more, as sets
+        g = G(s, n, layer)
+        values = [v.value for v in g.vertices]
+        rows = _highs_rows(g)
         expected = grouped_cliques(values, n, s)
         assert len(rows) == len(expected)
         assert {frozenset(r) for r in rows} == {frozenset(r) for r in expected}
@@ -481,6 +482,51 @@ class TestExactMis:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             exact_mis(G(1, 4), node_budget=-1)
+
+    def test_non_integer_budget_rejected_before_routing(self, monkeypatch):
+        # one error on both engines, before either runs or the route is read
+        assert _route(G(1, 5))["engine"] == "clique-search"
+        assert _route(G(1, 8))["engine"] == "highs"
+
+        def route(g):
+            raise AssertionError("routed")
+
+        monkeypatch.setattr(graph_module, "_route", route)
+        for g in (G(1, 5), G(1, 8)):
+            for budget in (2.5, 10.0, "10", None):
+                with pytest.raises(TypeError, match="node budget must be an integer"):
+                    exact_mis(g, budget)
+
+    def test_one_level_pass_per_graph(self, monkeypatch):
+        # build_graph lists the levels once; the first solve lists them once
+        # more over the graph's own words, to check the rows it gives HiGHS,
+        # and later solves reuse those rows
+        passes = []
+        real = graph_module._deletion_masks
+
+        def spy(values, n, s):
+            passes.append((len(values), n, s))
+            return real(values, n, s)
+
+        monkeypatch.setattr(graph_module, "_deletion_masks", spy)
+        g = build_graph(1, 8)
+        assert passes == [(256, 8, 1)]
+        passes.clear()
+        assert list(_route(g).items()) == [("engine", "highs")]
+        for _ in range(2):
+            with pytest.raises(BudgetExceededError):
+                exact_mis(g, 0)
+        assert passes == [(256, 8, 1)]
+
+    def test_highs_refuses_rows_that_do_not_hold(self):
+        # L(2, 4) labelled as L(1, 4): the supersequence cliques of s = 1
+        # miss most of its edges, so HiGHS is not handed them
+        wide = build_graph(2, 4)
+        g = ConfusabilityGraph(GraphParams(1, 4), wide.vertices, wide.adjacency)
+        assert _highs_rows(g) is None
+        with pytest.raises(ValueError, match="not g's edges"):
+            _highs_mis(g, DEFAULT_NODE_BUDGET)
+        assert _highs_rows(G(1, 4)) is not None
 
     def test_graph_not_matching_its_parameters_rejected(self, monkeypatch):
         # HiGHS's set is checked against the adjacency: all ones is dependent
