@@ -67,11 +67,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # weight-partition
         if args.residue is None:
             raise ValueError("--kind weight-partition requires --residue")
-        solver = {
-            "layer": layer_color_solver,
-            "greedy": greedy_layer_solver,
-            "exact": make_exact_layer_solver(args.budget),
-        }[args.solver]
+        if args.solver == "exact":  # --budget is read only here
+            solver = make_exact_layer_solver(args.budget)
+        else:
+            solver = {"layer": layer_color_solver, "greedy": greedy_layer_solver}[args.solver]
         code = weight_partition_code(args.n, args.s, args.residue, solver)
     write_code_file(code, args.out)
     print(f"kind={code.provenance}")

@@ -30,7 +30,9 @@ from .bitstring import (
 from .counting import _check_s_and_p, insertion_count
 from .graph import (
     DEFAULT_NODE_BUDGET,
+    BudgetExceededError,
     CliqueWitness,
+    _check_budget,
     _segment_clique_size,
     build_graph,
     exact_mis,
@@ -126,10 +128,32 @@ def greedy_layer_solver(s: int, n: int, k: int) -> Set[BitString]:
 
 
 def make_exact_layer_solver(node_budget: int = DEFAULT_NODE_BUDGET) -> LayerSolver:
-    """Per-layer solver running the exact branch-and-bound search."""
+    """Per-layer solver running the exact branch-and-bound search (:func:`exact_mis`).
+
+    Complement commutes with deleting symbols, so it maps layer k of L(s, n)
+    onto layer n - k.  The solver solves layer min(k, n - k) once in its
+    lifetime, keeps the set, and maps it by complement when k > n - k; the
+    incumbent of an exhausted budget is mapped too.  Each call returns a
+    fresh set.  The budget is checked here, before any layer is solved.
+    """
+    _check_budget(node_budget)
+    solved: Dict[Tuple[int, int, int], Set[BitString]] = {}
 
     def solver(s: int, n: int, k: int) -> Set[BitString]:
-        return exact_mis(build_graph(s, n, k), node_budget)
+        mirrored = n - k < k <= n  # else k is solved as given, and build_graph checks it
+        low = n - k if mirrored else k
+        flip = (1 << n) - 1 if mirrored else 0
+
+        def image(words: Set[BitString]) -> Set[BitString]:
+            return {BitString.from_value(x.value ^ flip, n) for x in words}
+
+        if (s, n, low) not in solved:
+            try:
+                solved[s, n, low] = exact_mis(build_graph(s, n, low), node_budget)
+            except BudgetExceededError as exc:
+                exc.best = image(exc.best)
+                raise
+        return image(solved[s, n, low])
 
     return solver
 
@@ -217,17 +241,32 @@ def verify_code(c: Code) -> bool:
 LayerColoringProvider = Callable[[int, int, int], Tuple[Dict[BitString, int], int]]
 
 
+def _check_layer_coloring(n: int, k: int, colors: Dict[BitString, int], nc: int) -> None:
+    """Raise ValueError, naming k, unless colors maps each weight-k word of
+    length n, and no other word, to an integer color in 0..nc-1: a larger
+    color would run into the next residue's block."""
+    if colors.keys() != {BitString.from_value(v, n) for v in _word_values(n, k)}:
+        raise ValueError(f"layer {k} coloring does not color exactly the weight-{k} words")
+    for x, col in colors.items():
+        if not (isinstance(col, int) and 0 <= col < nc):
+            raise ValueError(f"layer {k} coloring gives {x} color {col!r}, outside 0..{nc - 1}")
+
+
 def two_stage_coloring(n: int, s: int,
                        layer_colorings: Optional[LayerColoringProvider] = None) -> Coloring:
     """Proper coloring of the full graph assembled from per-layer colorings.
 
     The color of a word is (weight mod s+1, layer color), flattened to a
     single index.  For s = 1 the reduced-modulus layer colorings are used
-    by default; for general s a provider must be supplied.
+    by default; for general s a provider must be supplied, and
+    :class:`ValueError` is raised unless each of its layer colorings gives
+    exactly the layer's words a color in 0..nc-1 (:func:`_check_layer_coloring`).
     """
     _check_size(n, s, s_up_to_n=False)
     if layer_colorings is not None:
         per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
+        for k, (colors, nc) in enumerate(per_layer):
+            _check_layer_coloring(n, k, colors, nc)
     elif s == 1:
         per_layer = [(c.assignment, c.num_colors)
                      for c in (_vt_coloring(n, k) for k in range(n + 1))]

@@ -31,11 +31,13 @@ on 8 x 8 bit tiles, which also give the peel its first degree planes).
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
-whose choices ``delcodes alpha`` prints.  Dense graphs, such as every
-layer for s = 2 up to n = 13, and sparse graphs of at most 128 vertices
-are searched in pure Python as a maximum clique of the complement:
-Tomita et al.'s MCS, with greedy clique-partition bounds and the
-Re-NUMBER step, in the degeneracy order of the complement below edge
+whose choices ``delcodes alpha`` prints.  A complete graph, such as every
+layer within s of either end, needs neither: its route says so and
+``exact_mis`` returns its last vertex, with no search node.  Dense graphs,
+such as every layer for s = 2 up to n = 13, and sparse graphs of at most
+128 vertices are searched in pure Python as a maximum clique of the
+complement: Tomita et al.'s MCS, with greedy clique-partition bounds and
+the Re-NUMBER step, in the degeneracy order of the complement below edge
 density 3/10 and by ascending degree from it on.  At its root the search
 branches on one vertex per orbit of the graph's symmetries among word
 reversal and complement that carry the adjacency onto itself.  Larger
@@ -354,25 +356,36 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
     return {g.vertices[i] for i in _peel(g.adjacency, fewest=True)}
 
 
+def _check_budget(node_budget: int) -> None:
+    """Raise TypeError unless node_budget is an integer (a bool is not), and
+    ValueError if it is negative."""
+    if isinstance(node_budget, bool) or not isinstance(node_budget, int):
+        raise TypeError(f"node budget must be an integer, got {node_budget!r}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
+
+
 def exact_mis(g: ConfusabilityGraph,
               node_budget: int = DEFAULT_NODE_BUDGET) -> Set[BitString]:
     """Maximum independent set by branch and bound.
 
     The engine is the one :func:`_route` names: the clique search of the
     complement (:func:`_clique_search_mis`), or HiGHS (:func:`_highs_mis`)
-    for a large sparse graph whose rows hold.  ``node_budget``, a
-    nonnegative integer, bounds the search nodes of either engine.  Either
-    answer is checked against ``g.adjacency``, and :class:`RuntimeError` is
-    raised if it is not independent or if HiGHS fails.  If the budget runs
-    out, :class:`BudgetExceededError` is raised carrying the incumbent: the
-    larger of the engine's set and :func:`greedy_mis`, the engine's on a tie.
+    for a large sparse graph whose rows hold.  A complete graph takes
+    neither: its last vertex, if any, is returned with no search node.
+    ``node_budget``, a nonnegative integer, bounds the search nodes of
+    either engine.  Every answer is checked against ``g.adjacency``, and
+    :class:`RuntimeError` is raised if it is not independent or if HiGHS
+    fails.  If the budget runs out, :class:`BudgetExceededError` is raised
+    carrying the incumbent: the larger of the engine's set and
+    :func:`greedy_mis`, the engine's on a tie.
     """
-    if not isinstance(node_budget, int):  # before scipy, whose option check rejects it
-        raise TypeError(f"node budget must be an integer, got {node_budget!r}")
-    if node_budget < 0:
-        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
-    engine = _highs_mis if _route(g)["engine"] == "highs" else _clique_search_mis
-    found, exhausted = engine(g, node_budget)
+    _check_budget(node_budget)  # before scipy, whose option check rejects a non-integer
+    engine = _route(g)["engine"]
+    if engine == "complete":
+        found, exhausted = set(g.vertices[-1:]), False
+    else:
+        found, exhausted = (_highs_mis if engine == "highs" else _clique_search_mis)(g, node_budget)
     if not verify_independent(g, found):
         raise RuntimeError("exact solver returned a dependent set")
     if exhausted:
@@ -384,19 +397,25 @@ def exact_mis(g: ConfusabilityGraph,
     return found
 
 
+@_once
 def _route(g: ConfusabilityGraph) -> Dict[str, str]:
     """How :func:`exact_mis` solves g, as the key=value items ``delcodes
-    alpha`` prints: ``{"engine": "highs"}``, or for the clique search its
-    vertex order, "degeneracy" or "ascending", and the names of the
-    symmetries it prunes by, comma-separated (:func:`_automorphisms`).
+    alpha`` prints: ``{"engine": "complete"}``, ``{"engine": "highs"}``, or
+    for the clique search its vertex order, "degeneracy" or "ascending", and
+    the names of the symmetries it prunes by, comma-separated
+    (:func:`_automorphisms`).
 
-    HiGHS takes a graph of more than 128 vertices and edge density (edges
-    over vertex pairs, 1 below two vertices) under 1/5 whose rows hold
-    (:func:`_highs_rows`).  Every check reads g's words and adjacency alone.
+    The edge density is edges over vertex pairs, 1 below two vertices.  At
+    density 1 the graph is complete, and neither an order nor its
+    symmetries are computed.  HiGHS takes a graph of more than 128 vertices
+    and density under 1/5 whose rows hold (:func:`_highs_rows`).  Every
+    check reads g's words and adjacency alone.
     """
     v = len(g)
     edges = sum(mask.bit_count() for mask in g.adjacency) // 2
     density = Fraction(2 * edges, v * (v - 1)) if v > 1 else Fraction(1)
+    if density == 1:
+        return {"engine": "complete"}
     if (v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and density < _CLIQUE_SEARCH_MIN_DENSITY
             and _highs_rows(g) is not None):
         return {"engine": "highs"}
@@ -470,12 +489,13 @@ def _clique_search_mis(g: ConfusabilityGraph,
     candidates into cliques of g, which no independent set meets twice.
     The vertices are numbered in the order :func:`_route` names: the
     degeneracy order of the complement (:func:`_degeneracy_order`) on a
-    sparse graph, ascending degree in g on a dense one.  The search starts
-    from an empty incumbent.  With k = (incumbent size) - (set size), the
-    first k cliques of a node can only be pruned.  MCS's Re-NUMBER step
-    moves each later vertex into one of them where it can, directly or by
-    moving its one non-neighbor there into a later one of the k, so fewer
-    vertices are branched on.
+    sparse graph, ascending degree in g on a dense one.  A graph routed
+    elsewhere, whose route (computed once per graph) names no order, gets
+    the degeneracy order.  The search starts from an empty incumbent.  With
+    k = (incumbent size) - (set size), the first k cliques of a node can
+    only be pruned.  MCS's Re-NUMBER step moves each later vertex into one
+    of them where it can, directly or by moving its one non-neighbor there
+    into a later one of the k, so fewer vertices are branched on.
 
     At the root, whose subproblem every symmetry of g fixes
     (:func:`_automorphisms`), the branch on a vertex covers the sets through
@@ -489,7 +509,8 @@ def _clique_search_mis(g: ConfusabilityGraph,
     with an orbit does not.
     """
     adj = g.adjacency
-    # a graph routed to HiGHS gets no order, and is sparse
+    # a graph routed to HiGHS gets no order, and is sparse; on a complete
+    # graph any order finds alpha = 1
     if _route(g).get("order", "degeneracy") == "degeneracy":
         order = _degeneracy_order(adj)
     else:

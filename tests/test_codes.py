@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from delcodes import (
     BitString,
+    BudgetExceededError,
     CapacityError,
     Code,
     best_segment_clique,
@@ -30,6 +31,7 @@ from delcodes import (
     layer_color_solver,
     levenshtein_lower_bound,
     make_code,
+    make_exact_layer_solver,
     modified_vt_weight,
     penalty_ratio,
     read_code_file,
@@ -46,6 +48,8 @@ from delcodes import (
     weight_partition_size_bound,
     write_code_file,
 )
+from delcodes import codes as codes_module
+from delcodes.graph import exact_mis
 
 from conftest import _graph as G, string_color, string_words
 
@@ -221,6 +225,67 @@ class TestWeightPartitionCode:
             weight_partition_code(4, 1, 2, layer_color_solver)
         with pytest.raises(ValueError):
             weight_partition_size_bound(6, 2)
+
+
+def complement(words, n):
+    return {B.from_value(x.value ^ ((1 << n) - 1), n) for x in words}
+
+
+class TestExactLayerSolver:
+    def test_mirror_layers_are_complement_images(self):
+        # complement maps layer k of L(s, n) onto layer n - k
+        for n in range(10):
+            for s in range(min(n, 3) + 1):
+                solver = make_exact_layer_solver()
+                for k in range(n + 1):
+                    out = solver(s, n, k)
+                    g = G(s, n, k)
+                    assert verify_independent(g, out), (s, n, k)
+                    assert len(out) == len(exact_mis(g)), (s, n, k)
+                    if 2 * k != n:  # a middle layer is solved as it is
+                        assert out == complement(solver(s, n, n - k), n), (s, n, k)
+
+    def test_mirror_pair_builds_one_graph(self, monkeypatch):
+        built = []
+        real = codes_module.build_graph
+
+        def spy(s, n, k=None):
+            built.append((s, n, k))
+            return real(s, n, k)
+
+        monkeypatch.setattr(codes_module, "build_graph", spy)
+        solver = make_exact_layer_solver()
+        high = solver(1, 9, 6)
+        low = solver(1, 9, 3)
+        assert built == [(1, 9, 3)]
+        assert high == complement(low, 9) and len(low) == 13
+        # each call returns a fresh set: changing one leaves the next intact
+        low.clear()
+        assert solver(1, 9, 3) == complement(high, 9)
+        assert built == [(1, 9, 3)]
+        # residue 1 of n = 9 takes layers 1, 3, 5, 7 and 9 from layers 1, 3,
+        # 4, 2 and 0, of which 3 is known; residue 0 then builds no graph
+        code = weight_partition_code(9, 1, 1, solver)
+        assert built == [(1, 9, 3), (1, 9, 1), (1, 9, 4), (1, 9, 2), (1, 9, 0)]
+        assert verify_code(code)
+        twin = weight_partition_code(9, 1, 0, solver)
+        assert len(built) == 5 and verify_code(twin)
+
+    def test_exhausted_incumbent_is_mapped(self):
+        # layer 6 is solved as layer 3, whose incumbent comes back mapped
+        solver = make_exact_layer_solver(0)
+        with pytest.raises(BudgetExceededError) as info:
+            solver(1, 9, 6)
+        assert info.value.best and all(weight(x) == 6 for x in info.value.best)
+        assert verify_independent(G(1, 9, 6), info.value.best)
+
+    @pytest.mark.parametrize("budget, error", [
+        (-1, ValueError), (2.5, TypeError), ("10", TypeError), (True, TypeError),
+    ], ids=repr)
+    def test_budget_checked_where_given(self, budget, error):
+        # rejected when the solver is made, not at its first layer
+        with pytest.raises(error, match="node budget must be"):
+            make_exact_layer_solver(budget)
 
 
 @st.composite
@@ -399,6 +464,32 @@ class TestTwoStageColoring:
 
         coloring = two_stage_coloring(6, 2, provider)
         assert verify_coloring(G(2, 6), coloring.assignment)
+
+    def test_provider_colorings_checked(self):
+        def provider(s, n, k):
+            return {x: i for i, x in enumerate(G(s, n, k).vertices)}, math.comb(n, k)
+
+        def changed(layer, edit):
+            def changed_provider(s, n, k):
+                colors, nc = provider(s, n, k)
+                return edit(colors, nc) if k == layer else (colors, nc)
+            return changed_provider
+
+        # nothing colored, today's empty "proper coloring"
+        with pytest.raises(ValueError, match="layer 0 coloring does not color exactly"):
+            two_stage_coloring(4, 2, lambda s, n, k: ({}, 0))
+        bad = [
+            (lambda colors, nc: ({**colors, B("1111"): 0}, nc), "does not color exactly"),
+            (lambda colors, nc: (dict(list(colors.items())[1:]), nc), "does not color exactly"),
+            (lambda colors, nc: ({x: c + 1 for x, c in colors.items()}, nc), "color 6, outside 0..5"),
+            (lambda colors, nc: ({x: -c for x, c in colors.items()}, nc), "color -1"),
+            (lambda colors, nc: ({x: str(c) for x, c in colors.items()}, nc), "color '0'"),
+        ]
+        for edit, message in bad:
+            with pytest.raises(ValueError, match=f"layer 2 coloring.*{message}"):
+                two_stage_coloring(4, 2, changed(2, edit))
+        coloring = two_stage_coloring(4, 2, provider)
+        assert verify_coloring(G(2, 4), coloring.assignment)
 
 
 class TestBounds:

@@ -497,6 +497,12 @@ class TestExactMis:
                 with pytest.raises(TypeError, match="node budget must be an integer"):
                     exact_mis(g, budget)
 
+    def test_bool_budget_rejected(self):
+        # True is an int, and would run as a budget of 1
+        for budget in (True, False):
+            with pytest.raises(TypeError, match="node budget must be an integer"):
+                exact_mis(G(1, 4), budget)
+
     def test_one_level_pass_per_graph(self, monkeypatch):
         # build_graph lists the levels once; the first solve lists them once
         # more over the graph's own words, to check the rows it gives HiGHS,
@@ -673,6 +679,55 @@ class TestExactMis:
         assert list(_route(G(1, 8)).items()) == [("engine", "highs")]  # 0.118, 256 vertices
         assert list(_route(G(0, 10)).items()) == [("engine", "highs")]
 
+    def test_complete_graphs_answered_by_their_route(self, monkeypatch):
+        # every complete graph with n <= 10 (full graphs n <= 9), of 0, 1 or
+        # more vertices, is answered by its last vertex, the clique search's
+        # answer before the route named them, with no search node: neither
+        # the symmetries nor the clique search are reached, and a budget of
+        # 0 is enough
+        def fail(g, *args):
+            raise AssertionError("searched")
+
+        complete = []
+        for n in range(11):
+            for s in range(n + 1):
+                for k in [None] * (n <= 9) + list(range(n + 1)):
+                    g = G(s, n, k)
+                    if 2 * degree_stats(g)[2] == len(g) * (len(g) - 1):
+                        complete.append(ConfusabilityGraph(g.params, g.vertices, g.adjacency))
+        assert len(complete) == 421
+        monkeypatch.setattr(graph_module, "_automorphisms", fail)
+        monkeypatch.setattr(graph_module, "_clique_search_mis", fail)
+        for g in complete:
+            assert list(_route(g).items()) == [("engine", "complete")], g.params
+            assert exact_mis(g, 0) == {g.vertices[-1]}, g.params
+        edgeless = ConfusabilityGraph(GraphParams(0, 0), (), ())
+        assert _route(edgeless) == {"engine": "complete"}
+        assert exact_mis(edgeless, 0) == set()
+
+    def test_route_runs_once_per_graph(self, monkeypatch):
+        # exact_mis and the clique search both read the route; the density
+        # is summed once per graph, whichever engine runs
+        routed = []
+        real = graph_module._route.__wrapped__
+
+        def spy(g):
+            routed.append(g.params)
+            return real(g)
+
+        monkeypatch.setattr(graph_module, "_route", graph_module._once(spy))
+        for params in [(1, 7, None), (2, 8, 4), (2, 8, 1), (1, 8, None)]:
+            g = build_graph(*params)
+            for _ in range(2):
+                try:
+                    exact_mis(g, 0)
+                except BudgetExceededError:
+                    pass
+            assert routed == [g.params], params
+            routed.clear()
+        h = build_graph(1, 6)
+        assert _route(h) is _route(h)
+
     def test_clique_order_routing(self):
         # degeneracy order below density 3/10, ascending degree from it on
         for params, order, symmetry in [
@@ -759,7 +814,7 @@ class TestExactMis:
                 assert _route(plain)["symmetry"] == ""
                 by_plain, exhausted = _clique_search_mis(plain, DEFAULT_NODE_BUDGET)
             assert not exhausted and len(out) == len(by_plain), (s, n, k)
-        assert searched == 551
+        assert searched == 130  # the 421 complete graphs take their own route
 
     def test_hand_built_copies_route_as_the_original(self):
         # the checks read the words and the adjacency, not who built the graph
