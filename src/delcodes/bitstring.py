@@ -156,6 +156,19 @@ def _vt_color(v: int, n: int, k: Optional[int] = None) -> int:
     return sum(n - j for j in range(n) if v >> j & 1) % _vt_modulus(n, k)
 
 
+def _vt_classes(n: int, k: Optional[int] = None) -> List[List[int]]:
+    """The color classes of the weighted-sum coloring of L(1, n), or of its
+    layer k, indexed by color: each the ascending packed values of its words,
+    empty classes kept.  One pass over :func:`_word_values`, one
+    :func:`_vt_color` per word; n and k are checked here."""
+    _check_layer(n, k)
+    words = _word_values(n, k)  # refuses n > MAX_LAYER_N before the classes are made
+    classes: List[List[int]] = [[] for _ in range(_vt_modulus(n, k))]
+    for v in words:
+        classes[_vt_color(v, n, k)].append(v)
+    return classes
+
+
 def _single_deletions(v: int, n: int) -> List[int]:
     """The distinct words left by deleting one symbol of an n-symbol word.
 
@@ -214,9 +227,12 @@ def _check_length(n: int) -> None:
         raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
 
 
-def _check_layer(n: int, k: int) -> None:
-    """Raise ValueError unless 0 <= k <= n, the weights of n-symbol words."""
-    if not 0 <= k <= n:
+def _check_layer(n: int, k: Optional[int] = None) -> None:
+    """Raise ValueError, naming n or k, unless n >= 0 and, for a layer k,
+    0 <= k <= n, the weights of n-symbol words."""
+    if n < 0:
+        raise ValueError(f"require n >= 0, got n={n}")
+    if k is not None and not 0 <= k <= n:
         raise ValueError(f"layer weight {k} out of range 0..{n}")
 
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import Counter
 from fractions import Fraction
 from typing import List, Optional
 
 from . import counting, graph as graph_mod
-from .bitstring import BitString, _check_length, _vt_color, _word_values, delete_all, insert_all
+from .bitstring import BitString, _check_length, _vt_classes, delete_all, insert_all
 from .codes import (
     chromatic_lower_bound,
     constant_weight_guarantee,
@@ -150,8 +149,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         lines.append(f"chromatic_lower_bound={chromatic_lower_bound(s, n)}")
     if s == 1 and n <= MAX_CONSTRUCT_N:
         # No residue is known to win in general, so report every class size.
-        sizes = Counter(_vt_color(v, n) for v in _word_values(n))
-        lines += [f"vt_size_a{a}={sizes[a]}" for a in range(n + 1)]
+        lines += [f"vt_size_a{a}={len(values)}" for a, values in enumerate(_vt_classes(n))]
     print("\n".join(lines))
     return 0
 

@@ -2,7 +2,8 @@
 
 The single-deletion codes are color classes of the weighted-sum coloring
 (the sum of the 1-based positions of the one symbols) mod n+1 on L(1, n),
-or mod max(k, n-k)+1 on weight layer k: a residue code is one class, a
+or mod max(k, n-k)+1 on weight layer k, all read from the one class
+listing ``delcodes.bitstring._vt_classes``: a residue code is one class, a
 layer code the largest class of its layer, and the chromatic certificates
 and two-stage colorings are these colorings.  The union-over-weights
 construction stitches per-layer independent sets into a code for any s.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .bitstring import (
     BitString,
@@ -22,8 +23,8 @@ from .bitstring import (
     _deletion_ball,
     _deletion_ball_bound,
     _refuse_over_cap,
+    _vt_classes,
     _vt_color,
-    _vt_modulus,
     _word_values,
     weight,
 )
@@ -78,9 +79,10 @@ class Coloring:
 
 def _vt_coloring(n: int, k: Optional[int] = None) -> Coloring:
     """The weighted-sum coloring of L(1, n), or of its weight-k layer."""
-    assignment = {BitString.from_value(v, n): _vt_color(v, n, k) for v in _word_values(n, k)}
-    return Coloring(s=1, n=n, layer=k, assignment=assignment,
-                    num_colors=_vt_modulus(n, k))
+    classes = _vt_classes(n, k)
+    assignment = {BitString.from_value(v, n): col
+                  for col, values in enumerate(classes) for v in values}
+    return Coloring(s=1, n=n, layer=k, assignment=assignment, num_colors=len(classes))
 
 
 def vt_weight(x: BitString) -> int:
@@ -98,21 +100,18 @@ def vt_code(n: int, residue: int) -> Code:
     _check_size(n, 1, s_up_to_n=False)  # a single-deletion code
     if not 0 <= residue <= n:
         raise ValueError(f"residue {residue} out of range 0..{n}")
-    words = [BitString.from_value(v, n) for v in _word_values(n) if _vt_color(v, n) == residue]
+    words = (BitString.from_value(v, n) for v in _vt_classes(n)[residue])
     return make_code(n, 1, words, "vt")
 
 
 def layer_code(n: int, k: int) -> Code:
     """Largest color class of the reduced-modulus coloring of one weight layer.
 
-    Ties between equally large classes go to the smallest color index.
+    Ties between equally large classes go to the smallest color index:
+    ``max`` returns the first largest class.
     """
-    _check_layer(n, k)
-    classes: Dict[int, List[int]] = {}
-    for v in _word_values(n, k):
-        classes.setdefault(_vt_color(v, n, k), []).append(v)
-    best_color = min(classes, key=lambda col: (-len(classes[col]), col))
-    return make_code(n, 1, (BitString.from_value(v, n) for v in classes[best_color]), "layer")
+    largest = max(_vt_classes(n, k), key=len)
+    return make_code(n, 1, (BitString.from_value(v, n) for v in largest), "layer")
 
 
 def layer_color_solver(s: int, n: int, k: int) -> Set[BitString]:

@@ -237,8 +237,7 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     """The deletion-distance graph for (s, n), optionally one weight layer,
     with edges from :func:`_deletion_masks`."""
     _check_size(n, s)
-    if layer is not None:
-        _check_layer(n, layer)
+    _check_layer(n, layer)
     _check_length(n)  # before comb(n, layer), which stalls on n = 10**6
     size = 1 << n if layer is None else math.comb(n, layer)
     if size > MAX_VERTICES:

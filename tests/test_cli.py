@@ -113,6 +113,17 @@ class TestConstruct:
         assert rc == 2
         assert err.startswith("error:")
 
+    def test_negative_n_layer_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        rc, out, err = run(
+            capsys, "construct", "--kind", "layer", "--n", "-3", "--k", "0",
+            "--out", str(path),
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "n=-3" in err
+        assert not path.exists()
+
 
 class TestVerify:
     def test_invalid_code_exits_1(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for code constructions, colorings, bounds, and file persistence."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -48,7 +49,7 @@ from delcodes import (
     weight_partition_size_bound,
     write_code_file,
 )
-from delcodes import codes as codes_module
+from delcodes import bitstring as bitstring_module, cli as cli_module, codes as codes_module
 from delcodes.graph import exact_mis
 
 from conftest import _graph as G, string_color, string_words
@@ -134,13 +135,63 @@ def test_word_enumeration_capacity():
     (lambda: levenshtein_lower_bound(3, 4), "s=4"),
     (lambda: build_graph(-1, 3), "s=-1"),
     (lambda: Code(n=-1, s=1, words=(), provenance="vt"), "n=-1"),
+    (lambda: layer_code(-3, 0), "n=-3"),
+    (lambda: chromatic_certificate(-3, 0), "n=-3"),
 ], ids=["chromatic_lower_bound", "two_stage_coloring", "vt_code", "weight_partition_code",
         "insert_all_weighted", "substring_clique", "insert_all", "delete_all",
-        "confusable_set", "insertion_count", "levenshtein_lower_bound", "build_graph", "Code"])
+        "confusable_set", "insertion_count", "levenshtein_lower_bound", "build_graph", "Code",
+        "layer_code", "chromatic_certificate"])
 def test_size_out_of_range_named(call, bad):
     # one check for every entry point, naming the bad n or s
     with pytest.raises(ValueError, match=rf"\b{bad}\b"):
         call()
+
+
+class TestVtClasses:
+    def test_matches_string_reference(self):
+        # every class in ascending order, one class per color, the words partitioned
+        for n in range(0, 11):
+            for k in [None, *range(n + 1)]:
+                modulus = string_coloring(n, k)[0]
+                reference = string_classes(n, k)
+                classes = bitstring_module._vt_classes(n, k)
+                assert len(classes) == modulus
+                assert [[str(BitString.from_value(v, n)) for v in values] for values in classes] \
+                    == [reference.get(col, []) for col in range(modulus)]
+                assert all(a < b for values in classes for a, b in zip(values, values[1:]))
+                assert sorted(v for values in classes for v in values) \
+                    == list(bitstring_module._word_values(n, k))
+
+    @pytest.mark.parametrize("call", [
+        lambda: vt_code(8, 3),
+        lambda: layer_code(9, 4),
+        lambda: chromatic_certificate(8, 3),
+        lambda: cli_module.main(["bounds", "--s", "1", "--n", "8"]),
+    ], ids=["vt_code", "layer_code", "chromatic_certificate", "bounds"])
+    def test_one_listing_per_call(self, monkeypatch, capsys, call):
+        # each consumer lists the classes once, and no word is colored elsewhere
+        listings, inside = [], []
+        list_classes, color = bitstring_module._vt_classes, bitstring_module._vt_color
+
+        def classes_spy(n, k=None):
+            listings.append((n, k))
+            inside.append(True)
+            try:
+                return list_classes(n, k)
+            finally:
+                inside.pop()
+
+        def color_spy(v, n, k=None):
+            assert inside, "_vt_color evaluated outside _vt_classes"
+            return color(v, n, k)
+
+        for name, module in list(sys.modules.items()):
+            if name == "delcodes" or name.startswith("delcodes."):
+                for attr, spy in (("_vt_classes", classes_spy), ("_vt_color", color_spy)):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, spy)
+        assert call() not in (1, 2)  # the CLI's failure exits
+        assert len(listings) == 1
 
 
 class TestModifiedVtWeight:
