@@ -218,7 +218,7 @@ def _deletion_ball_bound(v: int, n: int, s: int) -> int:
     n-symbol word v with r runs (1 for the empty word)."""
     # one set bit per run end, as in _single_deletions
     runs = ((v ^ v << 1 | 1) & ((1 << n) - 1)).bit_count()
-    return _binom(runs + s - 1, s) if runs else 1
+    return math.comb(runs + s - 1, s) if runs else 1
 
 
 def _check_length(n: int) -> None:
@@ -279,13 +279,6 @@ def insert_all(x: BitString, s: int) -> Set[BitString]:
     return {BitString.from_value(v, n + s) for v in _insert_values((x.value,), n, s)}
 
 
-def _binom(n: int, k: int) -> int:
-    # C(n, k) with out-of-range k giving 0; the sum below relies on this.
-    if k < 0 or k > n or n < 0:
-        return 0
-    return math.comb(n, k)
-
-
 def _insertion_count(s: int, n: int) -> int:
     """Number of length-n supersequences of a length-(n-s) word, unchecked."""
     return sum(math.comb(n, i) for i in range(s + 1))
@@ -299,7 +292,7 @@ def _weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
     before listing it.
     """
     return sum(
-        _binom(k + s - 2 * r, s - r - i) * _binom(n - k - s + 2 * r, r - i)
+        math.comb(k + s - 2 * r, s - r - i) * math.comb(n - k - s + 2 * r, r - i)
         for i in range(min(r, s - r) + 1)
     )
 

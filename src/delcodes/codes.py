@@ -5,8 +5,10 @@ The single-deletion codes are color classes of the weighted-sum coloring
 or mod max(k, n-k)+1 on weight layer k, all read from the one class
 listing ``delcodes.bitstring._vt_classes``: a residue code is one class, a
 layer code the largest class of its layer, and the chromatic certificates
-and two-stage colorings are these colorings.  The union-over-weights
-construction stitches per-layer independent sets into a code for any s.
+are these colorings.  The union-over-weights construction stitches
+per-layer independent sets into a code for any s; the two-stage coloring
+stitches per-layer colorings from a provider, these layer colorings being
+the default one for s = 1, and checks each in the pass that places it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .bitstring import (
     _refuse_over_cap,
     _vt_classes,
     _vt_color,
-    _word_values,
     weight,
 )
 from .counting import _check_s_and_p, insertion_count
@@ -178,21 +179,22 @@ def weight_partition_code(n: int, s: int, residue_a: int,
     return make_code(n, s, words, "weight-partition")
 
 
-def _k_star(n: int, a: int) -> int:
-    # Integer closest to n/2 with the opposite parity from a; on a tie the
-    # smaller candidate wins (the bound value is the same either way).
+def _k_star(n: int, a: int) -> Optional[int]:
+    # Weight in 0..n closest to n/2 with the opposite parity from a; on a tie
+    # the smaller candidate wins (the bound value is the same either way).
+    # None at n = 0 for a = 0, where no weight has the opposite parity.
     candidates = sorted(range(n + 1), key=lambda k: (abs(2 * k - n), k))
-    for k in candidates:
-        if k % 2 != a % 2:
-            return k
-    raise ValueError(f"no admissible weight for n={n}, a={a}")
+    return next((k for k in candidates if k % 2 != a % 2), None)
 
 
 def weight_partition_size_bound(n: int, a: int) -> Fraction:
-    """Single-deletion floor (2^n - C(n, k*)) / (n + 1) on the union code size."""
+    """Single-deletion floor (2^n - C(n, k*)) / (n + 1) on the union code size;
+    1, the size of the code of the empty word, at n = 0 for a = 0 (no k* to subtract)."""
+    _check_size(n, 1, s_up_to_n=False)  # a single-deletion bound
     if a not in (0, 1):
         raise ValueError(f"parity residue must be 0 or 1, got {a}")
-    return Fraction(2**n - math.comb(n, _k_star(n, a)), n + 1)
+    k = _k_star(n, a)
+    return Fraction(2**n - (0 if k is None else math.comb(n, k)), n + 1)
 
 
 def find_conflict(c: Code) -> Optional[Tuple[BitString, BitString, BitString]]:
@@ -240,42 +242,43 @@ def verify_code(c: Code) -> bool:
 LayerColoringProvider = Callable[[int, int, int], Tuple[Dict[BitString, int], int]]
 
 
-def _check_layer_coloring(n: int, k: int, colors: Dict[BitString, int], nc: int) -> None:
-    """Raise ValueError, naming k, unless colors maps each weight-k word of
-    length n, and no other word, to an integer color in 0..nc-1: a larger
-    color would run into the next residue's block."""
-    if colors.keys() != {BitString.from_value(v, n) for v in _word_values(n, k)}:
-        raise ValueError(f"layer {k} coloring does not color exactly the weight-{k} words")
-    for x, col in colors.items():
-        if not (isinstance(col, int) and 0 <= col < nc):
-            raise ValueError(f"layer {k} coloring gives {x} color {col!r}, outside 0..{nc - 1}")
+def _vt_layer_coloring(s: int, n: int, k: int) -> Tuple[Dict[BitString, int], int]:
+    """The default s = 1 provider: the weighted-sum coloring of layer k."""
+    c = _vt_coloring(n, k)
+    return c.assignment, c.num_colors
 
 
 def two_stage_coloring(n: int, s: int,
                        layer_colorings: Optional[LayerColoringProvider] = None) -> Coloring:
-    """Proper coloring of the full graph assembled from per-layer colorings.
+    """Coloring of the full graph assembled from per-layer colorings.
 
     The color of a word is (weight mod s+1, layer color), flattened to a
-    single index.  For s = 1 the reduced-modulus layer colorings are used
-    by default; for general s a provider must be supplied, and
-    :class:`ValueError` is raised unless each of its layer colorings gives
-    exactly the layer's words a color in 0..nc-1 (:func:`_check_layer_coloring`).
-    """
+    single index.  Adjacent words differ in weight by at most s, so the
+    result is proper whenever each layer coloring is.  For s = 1 the
+    weighted-sum layer colorings are the default provider; for general s
+    one must be supplied.  The pass that places the colors checks only each
+    layer's words and color range, in order k = 0..n: :class:`ValueError`
+    is raised unless layer k colors C(n, k) distinct n-symbol weight-k
+    words, each with an integer in 0..nc-1 (a larger color would run into
+    the next residue's block)."""
     _check_size(n, s, s_up_to_n=False)
-    if layer_colorings is not None:
-        per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
-        for k, (colors, nc) in enumerate(per_layer):
-            _check_layer_coloring(n, k, colors, nc)
-    elif s == 1:
-        per_layer = [(c.assignment, c.num_colors)
-                     for c in (_vt_coloring(n, k) for k in range(n + 1))]
-    else:
-        raise ValueError("no layer coloring available for s != 1; supply a provider")
+    if layer_colorings is None:
+        if s != 1:
+            raise ValueError("no layer coloring available for s != 1; supply a provider")
+        layer_colorings = _vt_layer_coloring
+    per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
     width = max(nc for _, nc in per_layer)
     assignment: Dict[BitString, int] = {}
-    for k, (colors, _) in enumerate(per_layer):
+    for k, (colors, nc) in enumerate(per_layer):
+        inexact = f"layer {k} coloring does not color exactly the weight-{k} words"
+        if len(colors) != math.comb(n, k):
+            raise ValueError(inexact)
         base = (k % (s + 1)) * width
         for x, col in colors.items():
+            if not (isinstance(x, BitString) and len(x) == n and weight(x) == k):
+                raise ValueError(inexact)
+            if not (isinstance(col, int) and 0 <= col < nc):
+                raise ValueError(f"layer {k} coloring gives {x} color {col!r}, outside 0..{nc - 1}")
             assignment[x] = base + col
     return Coloring(s=s, n=n, layer=None, assignment=assignment,
                     num_colors=(s + 1) * width)
@@ -335,7 +338,11 @@ def chromatic_certificate(n: int, k: Optional[int] = None
 
 def _best_segment_params(s: int, n: int) -> Optional[Tuple[int, int, int, int, int]]:
     """``(size, l, k, b, c)`` of the largest feasible segment clique with
-    members of length n and b + c = s (the first found on a tie), or None."""
+    members of length n and b + c = s (the first found on a tie), or None.
+    ValueError unless s >= 1 and n >= 0."""
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
+    _check_size(n, s, s_up_to_n=False)
     best: Optional[Tuple[int, int, int, int, int]] = None
     for b in range(s + 1):
         c = s - b
@@ -358,12 +365,9 @@ def chromatic_lower_bound(s: int, n: int) -> int:
     Considers the supersequence clique of size I(s, n) and every feasible
     segment clique whose members have length n with b + c = s.
     """
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    _check_size(n, s, s_up_to_n=False)
-    if s > n:
+    if s > n >= 0:
         return 2**n  # complete graph
-    best = _best_segment_params(s, n)
+    best = _best_segment_params(s, n)  # checks s >= 1 and n >= 0
     return max(insertion_count(s, n), 0 if best is None else best[0])
 
 

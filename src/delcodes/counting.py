@@ -107,9 +107,7 @@ def decode(x: BitString, z: InsertionEncoding) -> BitString:
     for u in x:
         it = tracks[u]
         while True:
-            w = next(it, None)
-            if w is None:
-                raise EncodingError("insertion track exhausted before its final zero")
+            w = next(it)  # never runs out: the track has one zero per symbol u of x
             if w == 0:
                 out.append(u)
                 break

@@ -84,6 +84,15 @@ class TestConstruct:
         assert rc == 2
         assert "residue" in err
 
+    @pytest.mark.parametrize("kind, flag", [("layer", "--k"), ("weight-partition", "--residue")])
+    def test_missing_kind_parameter_is_usage_error(self, capsys, tmp_path, kind, flag):
+        path = tmp_path / "c.txt"
+        rc, out, err = run(capsys, "construct", "--kind", kind, "--n", "8", "--out", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and f"--kind {kind} requires {flag}" in err
+        assert not path.exists()
+
     def test_budget_exhaustion_exits_1(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "construct", "--kind", "weight-partition", "--n", "9",

@@ -137,10 +137,11 @@ def test_word_enumeration_capacity():
     (lambda: Code(n=-1, s=1, words=(), provenance="vt"), "n=-1"),
     (lambda: layer_code(-3, 0), "n=-3"),
     (lambda: chromatic_certificate(-3, 0), "n=-3"),
+    (lambda: best_segment_clique(1, -5), "n=-5"),
 ], ids=["chromatic_lower_bound", "two_stage_coloring", "vt_code", "weight_partition_code",
         "insert_all_weighted", "substring_clique", "insert_all", "delete_all",
         "confusable_set", "insertion_count", "levenshtein_lower_bound", "build_graph", "Code",
-        "layer_code", "chromatic_certificate"])
+        "layer_code", "chromatic_certificate", "best_segment_clique"])
 def test_size_out_of_range_named(call, bad):
     # one check for every entry point, naming the bad n or s
     with pytest.raises(ValueError, match=rf"\b{bad}\b"):
@@ -227,6 +228,10 @@ class TestLayerCode:
         with pytest.raises(ValueError):
             layer_code(4, 5)
 
+    def test_color_solver_single_deletion_only(self):
+        with pytest.raises(ValueError, match="handles s = 1 only"):
+            layer_color_solver(2, 6, 3)
+
     def test_matches_string_reference(self):
         # the largest class wins; a tie goes to the smallest color
         ties = 0
@@ -257,7 +262,10 @@ class TestWeightPartitionCode:
                     assert verify_code(code)
 
     def test_size_floor(self):
-        for n in range(1, 15):
+        # at n = 0 the residue-0 code is the empty word alone, and no
+        # opposite-parity layer is subtracted from its floor of 1
+        assert weight_partition_size_bound(0, 0) == 1
+        for n in range(0, 15):
             for a in (0, 1):
                 code = weight_partition_code(n, 1, a, layer_color_solver)
                 assert len(code.words) >= weight_partition_size_bound(n, a)
@@ -276,6 +284,11 @@ class TestWeightPartitionCode:
             weight_partition_code(4, 1, 2, layer_color_solver)
         with pytest.raises(ValueError):
             weight_partition_size_bound(6, 2)
+
+    def test_negative_n_named(self):
+        # by the size check every entry point shares, not as a missing weight
+        with pytest.raises(ValueError, match=r"require n >= 0 and s >= 0, got n=-3\b"):
+            weight_partition_size_bound(-3, 0)
 
 
 def complement(words, n):
@@ -542,6 +555,90 @@ class TestTwoStageColoring:
         coloring = two_stage_coloring(4, 2, provider)
         assert verify_coloring(G(2, 4), coloring.assignment)
 
+    def test_provider_keys_checked(self):
+        # right count, wrong keys: a string, a word one symbol too long, a
+        # weight-3 word in place of a weight-2 one
+        def provider(s, n, k):
+            return {x: i for i, x in enumerate(G(s, n, k).vertices)}, math.comb(n, k)
+
+        def swap(key):
+            def changed(s, n, k):
+                colors, nc = provider(s, n, k)
+                if k == 2:
+                    colors[key] = colors.pop(B("0011"))
+                return colors, nc
+            return changed
+
+        for key in ("0101", B("00110"), B("0111")):
+            with pytest.raises(ValueError, match="layer 2 coloring does not color exactly"):
+                two_stage_coloring(4, 2, swap(key))
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_every_layer_checked(self, monkeypatch, s):
+        # a fault in any one layer is caught, on the default s = 1 path as on
+        # a provider's, and the first faulty layer is the one named
+        n = 5
+
+        def provider(s, n, k):
+            c = codes_module._vt_coloring(n, k)
+            return c.assignment, c.num_colors
+
+        def faulty(layers, edit):
+            def changed(s, n, k):
+                colors, nc = provider(s, n, k)
+                return edit(colors, nc) if k in layers else (colors, nc)
+            return changed
+
+        edits = [
+            (lambda colors, nc: (dict(list(colors.items())[1:]), nc), "does not color exactly"),
+            (lambda colors, nc: ({x: c + nc for x, c in colors.items()}, nc), "outside"),
+        ]
+        for k in range(n + 1):
+            for edit, message in edits:
+                for layers in ({k}, {k, n}):
+                    given = faulty(layers, edit)
+                    if s == 1:  # the default provider, replaced
+                        monkeypatch.setattr(codes_module, "_vt_layer_coloring", given)
+                        given = None
+                    with pytest.raises(ValueError, match=f"layer {k} coloring.*{message}"):
+                        two_stage_coloring(n, s, given)
+
+    def test_provider_path_lists_no_words(self, monkeypatch):
+        # the check reads the provider's keys: with layer colorings made
+        # beforehand, no word list is built
+        n = 8
+        layers = [(c.assignment, c.num_colors)
+                  for c in (codes_module._vt_coloring(n, k) for k in range(n + 1))]
+        expected = two_stage_coloring(n, 1).assignment
+        listings = []
+        word_values = bitstring_module._word_values
+
+        def spy(*args):
+            listings.append(args)
+            return word_values(*args)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "delcodes" or name.startswith("delcodes.")) \
+                    and hasattr(module, "_word_values"):
+                monkeypatch.setattr(module, "_word_values", spy)
+        coloring = two_stage_coloring(n, 1, lambda s, n, k: layers[k])
+        assert listings == []
+        assert coloring.assignment == expected
+
+    def test_default_path_lists_each_layer_once(self, monkeypatch):
+        listings = []
+        list_classes = codes_module._vt_classes
+
+        def spy(n, k=None):
+            listings.append((n, k))
+            return list_classes(n, k)
+
+        monkeypatch.setattr(codes_module, "_vt_classes", spy)
+        for n in (0, 1, 6):
+            listings.clear()
+            two_stage_coloring(n, 1)
+            assert listings == [(n, k) for k in range(n + 1)]
+
 
 class TestBounds:
     def test_levenshtein_examples(self):
@@ -584,6 +681,10 @@ class TestBounds:
 
 
 class TestChromaticCertificate:
+    def test_full_graph_needs_a_symbol(self):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            chromatic_certificate(0)
+
     def test_full_graph(self):
         coloring, clique, chi = chromatic_certificate(4)
         assert chi == 5
@@ -661,6 +762,16 @@ class TestChromaticLowerBound:
         assert w is not None
         assert all(len(v) == 24 for v in w.vertices)
 
+    @pytest.mark.parametrize("call", [
+        lambda: best_segment_clique(-1, 5),
+        lambda: best_segment_clique(0, 5),
+        lambda: chromatic_lower_bound(0, 5),
+    ], ids=["best_segment_clique-negative", "best_segment_clique-zero", "chromatic_lower_bound"])
+    def test_s_below_one_rejected(self, call):
+        # one check for both: s = 0 has no segment clique to report
+        with pytest.raises(ValueError, match="s must be at least 1, got"):
+            call()
+
     def test_best_segment_clique_tie_goes_to_first_found(self):
         # (l, k, b, c) = (6, 1, 0, 1) and (4, 1, 1, 0) both give 4 members
         w = best_segment_clique(1, 5)
@@ -704,4 +815,10 @@ class TestCodeFiles:
             read_code_file(str(path))
         path.write_text("# delcode v1\n# n=3 s=1 kind=x\n01\n")
         with pytest.raises(ValueError):
+            read_code_file(str(path))
+
+    def test_magic_line_alone(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("# delcode v1\n")
+        with pytest.raises(ValueError, match="missing parameter header line"):
             read_code_file(str(path))

@@ -1,5 +1,6 @@
 """Tests for superstring counting, the insertion codec, and the polynomial bound."""
 
+import itertools
 import math
 
 import pytest
@@ -179,6 +180,20 @@ class TestDecode:
         # z0 must end with the zero matching the last 0 of the base word
         with pytest.raises(EncodingError):
             decode(B("0"), InsertionEncoding(B("01"), B(""), B("")))
+
+    def test_small_inputs_decode_or_are_rejected(self):
+        # each track is read only after its zeros are counted, so every
+        # pattern either decodes to a word that encodes back to it or
+        # raises EncodingError
+        tracks = [z for m in range(5) for z in all_words(m)]
+        for x in (x for m in range(4) for x in all_words(m)):
+            for z0, z1 in itertools.product(tracks, repeat=2):
+                z = InsertionEncoding(z0, z1, B(""))
+                try:
+                    y = decode(x, z)
+                except EncodingError:
+                    continue
+                assert encode(x, y) == z
 
 
 class TestCodecBijection:

@@ -315,6 +315,9 @@ class TestDegreeStats:
     def test_edgeless(self):
         assert degree_stats(G(0, 3)) == (0, Fraction(0), 0)
 
+    def test_no_vertices(self):
+        assert degree_stats(ConfusabilityGraph(GraphParams(0, 0), (), ())) == (0, 0, 0)
+
     def test_small_full_graph(self):
         max_deg, avg_deg, edges = degree_stats(G(1, 2))
         assert (max_deg, edges) == (3, 5)
@@ -541,6 +544,16 @@ class TestExactMis:
             status=0, message="Optimization terminated successfully.", x=[1.0] * len(g)))
         with pytest.raises(RuntimeError, match="dependent"):
             exact_mis(g)
+
+    @pytest.mark.parametrize("s, n", [(5, 4), (-1, 8), (0, 9)])
+    def test_rows_refused_for_parameters_that_do_not_fit(self, s, n):
+        # L(0, 8) labelled with s above n, a negative s, or a length its
+        # words do not have: no rows, so the edgeless graph is searched
+        g = G(0, 8)
+        h = ConfusabilityGraph(GraphParams(s, n), g.vertices, g.adjacency)
+        assert _highs_rows(h) is None
+        assert _route(h)["engine"] == "clique-search"
+        assert exact_mis(h) == set(g.vertices)
 
     def test_hand_built_sparse_graph_takes_the_clique_search(self):
         # L(1, 8) keeping only the edges among its first 16 vertices: the
