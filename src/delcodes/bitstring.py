@@ -205,7 +205,8 @@ def _deletion_ball(v: int, n: int, s: int) -> Set[int]:
     """The distinct length-(n-s) subsequences of an n-symbol word v, as
     packed values: one level of :func:`_single_deletions` per deletion.
     The graph's level pass (``delcodes.graph._deletion_masks``) lists the
-    balls of many words at once by the same single deletions.  Nothing here
+    balls of many words at once, by the same single deletions except on the
+    full graph, where whole-list slices stand in for them.  Nothing here
     is sized, so callers size their request first (:func:`_deletion_ball_bound`)."""
     level = {v}
     for m in range(n, n - s, -1):

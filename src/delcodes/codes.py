@@ -256,27 +256,31 @@ def two_stage_coloring(n: int, s: int,
     single index.  Adjacent words differ in weight by at most s, so the
     result is proper whenever each layer coloring is.  For s = 1 the
     weighted-sum layer colorings are the default provider; for general s
-    one must be supplied.  The pass that places the colors checks only each
-    layer's words and color range, in order k = 0..n: :class:`ValueError`
+    one must be supplied.  Each layer's coloring is checked, in order
+    k = 0..n, first for its size and color count, then, in the pass that
+    places the colors, for its words and color range: :class:`ValueError`
     is raised unless layer k colors C(n, k) distinct n-symbol weight-k
     words, each with an integer in 0..nc-1 (a larger color would run into
-    the next residue's block)."""
+    the next residue's block), nc an integer of at least 1."""
     _check_size(n, s, s_up_to_n=False)
     if layer_colorings is None:
         if s != 1:
             raise ValueError("no layer coloring available for s != 1; supply a provider")
         layer_colorings = _vt_layer_coloring
     per_layer = [layer_colorings(s, n, k) for k in range(n + 1)]
+    inexact = "layer {0} coloring does not color exactly the weight-{0} words"
+    for k, (colors, nc) in enumerate(per_layer):  # before max compares the counts
+        if len(colors) != math.comb(n, k):
+            raise ValueError(inexact.format(k))
+        if isinstance(nc, bool) or not isinstance(nc, int) or nc < 1:
+            raise ValueError(f"layer {k} coloring has color count {nc!r}, not an integer >= 1")
     width = max(nc for _, nc in per_layer)
     assignment: Dict[BitString, int] = {}
     for k, (colors, nc) in enumerate(per_layer):
-        inexact = f"layer {k} coloring does not color exactly the weight-{k} words"
-        if len(colors) != math.comb(n, k):
-            raise ValueError(inexact)
         base = (k % (s + 1)) * width
         for x, col in colors.items():
             if not (isinstance(x, BitString) and len(x) == n and weight(x) == k):
-                raise ValueError(inexact)
+                raise ValueError(inexact.format(k))
             if not (isinstance(col, int) and 0 <= col < nc):
                 raise ValueError(f"layer {k} coloring gives {x} color {col!r}, outside 0..{nc - 1}")
             assignment[x] = base + col

@@ -13,9 +13,16 @@ level pass (``_deletion_masks``), from the vertices down to their
 length-(n-s) subsequences, lists each level's single deletions once, one
 per run, and gives every length-(n-s) word the mask of its clique; the
 pass back up ORs each word's listed deletions' masks into it, one
-``reduce`` per word.  It returns the adjacency and the bottom level, whose
-cliques of two or more are the HiGHS model's rows, read once the same pass
-over a graph's own words has given its adjacency (``_highs_rows``).  Code
+``reduce`` per word.  On the full graph the levels are lists indexed by
+word value instead, and each level is a few ORs of whole slices of the
+level next to it, with no Python step per word (``_full_deletion_masks``).
+Layers and hand-built vertex sets keep the per-word pass: on lists by
+value each missing word costs as much as a vertex, so the slice pass was
+no faster on most layers and 1.8x slower on L(2,16) layer 8 (2-core
+x86-64 host, CPython 3.11).  The pass returns the adjacency and the
+bottom level, whose cliques of two or more are the HiGHS model's rows,
+read once the same pass over a graph's own words has given its adjacency
+(``_highs_rows``).  Code
 verification and confusable sets list one word's ball at a time by the
 same single deletions, without masks (:mod:`delcodes.bitstring`'s
 ``_deletion_ball``).  The equivalence with the pairwise-distance
@@ -212,7 +219,16 @@ def _deletion_masks(values: Sequence[int], n: int, s: int
     length-(n-s) word to the mask of its supersequence clique.  Going back
     up, each word ORs the masks of its listed deletions, one ``reduce`` per
     word, so each vertex gets its neighbors and itself.  Unsized: callers
-    size the request first (:func:`_deletion_ball_bound`)."""
+    size the request first (:func:`_deletion_ball_bound`).
+
+    The full graph, whose values are exactly 0..2^n - 1 in order, takes
+    :func:`_full_deletion_masks` instead, with the same adjacency and the
+    same bottom level, keys in value order.  Every other vertex set keeps
+    this pass, a layer or a hand-built set (all words in another order
+    too): on lists by value each missing word would cost as much as a
+    vertex."""
+    if len(values) == 1 << n and all(map(operator.eq, values, range(1 << n))):
+        return _full_deletion_masks(n, s)
     levels = []  # (words, each word's single deletions) of levels 0..s-1
     level = {v: 1 << i for i, v in enumerate(values)}
     for m in range(n, n - s, -1):
@@ -231,6 +247,55 @@ def _deletion_masks(values: Sequence[int], n: int, s: int
         masks = [functools.reduce(operator.or_, map(get, row)) for row in rows]
         below = dict(zip(words, masks))
     return tuple(mask & ~(1 << i) for i, mask in enumerate(masks)), bottom
+
+
+def _full_deletion_masks(n: int, s: int) -> Tuple[Tuple[int, ...], Dict[int, int]]:
+    """:func:`_deletion_masks` of all n-symbol words, on lists indexed by value.
+
+    An m-symbol word u has one distinct single deletion per run, made by
+    deleting the run's first symbol: u's first symbol (its top bit), and
+    bit r wherever bits r + 1 and r differ.  Both kinds pair whole slices
+    of the m-symbol level with the (m-1)-symbol one: the first by halves,
+    the second by :func:`_run_head_slices`.  So going down each word ORs
+    the masks of its supersequences, and going up those of its deletions,
+    a few ORs of whole slices per level, with no Python step per word."""
+    level = list(map(operator.lshift, itertools.repeat(1), range(1 << n)))
+    for m in range(n, n - s, -1):
+        half = 1 << m - 1
+        below = list(map(operator.or_, level[:half], level[half:]))
+        for upper, lower in _run_head_slices(m):
+            below[lower] = map(operator.or_, below[lower], level[upper])
+        level = below
+    bottom = dict(enumerate(level))
+    for m in range(n - s + 1, n + 1):
+        above = level * 2
+        for upper, lower in _run_head_slices(m):
+            above[upper] = map(operator.or_, above[upper], level[lower])
+        level = above
+    own = map(operator.lshift, itertools.repeat(1), range(1 << n))  # set in each top mask
+    return tuple(map(operator.xor, level, own)), bottom
+
+
+def _run_head_slices(m: int) -> Iterator[Tuple[slice, slice]]:
+    """Pairs (upper, lower) of slices of the lists of the m- and
+    (m-1)-symbol words by value, for each bit r < m - 1, lined up so that
+    the word z opposite u is u with its bit r deleted, and u is z with the
+    complement of its bit r inserted at bit r.
+
+    These u are the words whose bits r + 1 and r differ: with R = 2^r, the
+    values R..3R-1 of each period of 4R, in the order of their z.  They are
+    taken as 2^(m-2-r) contiguous chunks or as 2R strided slices, whichever
+    are fewer, so a level of 2^m words takes O(2^(m/2)) slices."""
+    for r in range(m - 1):
+        step = 1 << r
+        chunks = 1 << m - 2 - r
+        if chunks <= 2 * step:
+            for p in range(chunks):
+                yield (slice((4 * p + 1) * step, (4 * p + 3) * step),
+                       slice(2 * p * step, (2 * p + 2) * step))
+        else:
+            for i in range(2 * step):
+                yield slice(step + i, None, 4 * step), slice(i, None, 2 * step)
 
 
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:

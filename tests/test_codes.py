@@ -548,6 +548,10 @@ class TestTwoStageColoring:
             (lambda colors, nc: ({x: c + 1 for x, c in colors.items()}, nc), "color 6, outside 0..5"),
             (lambda colors, nc: ({x: -c for x, c in colors.items()}, nc), "color -1"),
             (lambda colors, nc: ({x: str(c) for x, c in colors.items()}, nc), "color '0'"),
+            # a color count that is not an integer of at least 1
+            (lambda colors, nc: (colors, str(nc)), "color count '6'"),
+            (lambda colors, nc: (colors, float(nc)), "color count 6.0,"),
+            (lambda colors, nc: (colors, True), "color count True"),
         ]
         for edit, message in bad:
             with pytest.raises(ValueError, match=f"layer 2 coloring.*{message}"):

@@ -608,6 +608,8 @@ class TestExactMis:
         assert len(info.value.best) >= len(greedy_mis(g)) == 7
 
     @pytest.mark.parametrize("params, count, rows_digest", [
+        ((1, 8, None), 128, "7bda41c9424128f2"),
+        ((1, 9, None), 256, "448627eb65e42629"),
         ((1, 10, 4), 210, "d6799f1d6787fdb9"),
         ((2, 10, 5), 182, "f95daae0a948f6ae"),
         ((1, 11, 3), 165, "e483c9dfb42edafd"),
@@ -845,6 +847,15 @@ class TestExactMis:
         assert list(_route(copy).items()) == [("engine", "highs")]
         out = exact_mis(copy, node_budget=10**5)
         assert verify_independent(copy, out) and len(out) == 30
+
+    def test_reversed_copy_of_full_graph_takes_highs(self):
+        # L(1, 8) with its words in reversed order holds all 256 words, but
+        # not by value, so its rows come from the pass over its own words
+        g = G(1, 8)
+        order = list(reversed(range(len(g))))
+        copy = ConfusabilityGraph(g.params, g.vertices[::-1], tuple(_relabel(g.adjacency, order)))
+        assert list(_route(copy).items()) == [("engine", "highs")]
+        assert len(_highs_rows(copy)) == 128
 
     def test_hand_built_graph_gets_no_symmetry(self):
         # L(1, 5) with the edges of the non-palindromic 00001 dropped
