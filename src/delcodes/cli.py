@@ -55,6 +55,8 @@ def _frac(value: Fraction) -> str:
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.n > MAX_CONSTRUCT_N:
         raise CapacityError(f"construct limited to n <= {MAX_CONSTRUCT_N}")
+    if args.kind != "weight-partition" and args.s != 1:
+        raise ValueError(f"--kind {args.kind} corrects one deletion; got --s {args.s}")
     if args.kind == "vt":
         if args.residue is None:
             raise ValueError("--kind vt requires --residue")

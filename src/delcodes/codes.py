@@ -164,7 +164,7 @@ def weight_partition_code(n: int, s: int, residue_a: int,
 
     Valid for s deletions because adjacent words differ in weight by at
     most s, so layers s+1 apart cannot interact.  ValueError is raised if a
-    layer solver returns a word outside its layer.
+    layer solver returns anything but a BitString of its layer.
     """
     _check_size(n, s, s_up_to_n=False)
     if not 0 <= residue_a <= s:
@@ -173,6 +173,8 @@ def weight_partition_code(n: int, s: int, residue_a: int,
     for k in range(n + 1):
         if k % (s + 1) == residue_a:
             for x in layer_solver(s, n, k):
+                if not isinstance(x, BitString):
+                    raise ValueError(f"layer solver returned {x!r} for layer {k}, not a BitString")
                 if weight(x) != k:  # make_code checks the length
                     raise ValueError(f"layer solver returned {x}, outside layer {k}")
                 words.add(x)
@@ -354,9 +356,7 @@ def _best_segment_params(s: int, n: int) -> Optional[Tuple[int, int, int, int, i
         for k in range(max(1, s), total // 7 + 1):
             if total % k:
                 continue
-            l = total // k - 3
-            if l < 4:
-                continue
+            l = total // k - 3  # at least 4, as k <= total // 7
             size = _segment_clique_size(l, k, b, c)
             if best is None or size > best[0]:
                 best = (size, l, k, b, c)

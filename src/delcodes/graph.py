@@ -678,19 +678,16 @@ def _highs_mis(g: ConfusabilityGraph,
         raise ValueError("the supersequence cliques of g's parameters are not g's edges")
     if not cliques:
         return set(g.vertices), False
-    import numpy as np
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     rows = [r for r, idxs in enumerate(cliques) for _ in idxs]
     cols = [i for idxs in cliques for i in idxs]
-    matrix = sparse.csc_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(len(cliques), len(g))
-    )
+    matrix = sparse.csc_matrix(([1] * len(rows), (rows, cols)), shape=(len(cliques), len(g)))
     result = milp(
-        c=-np.ones(len(g)),
-        constraints=LinearConstraint(matrix, -np.inf, 1),
-        integrality=np.ones(len(g)),
+        c=[-1] * len(g),
+        constraints=LinearConstraint(matrix, -math.inf, 1),
+        integrality=[1] * len(g),
         bounds=Bounds(0, 1),
         options={"node_limit": node_budget, "mip_rel_gap": 0.0},
     )
@@ -747,8 +744,9 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     of length 3.  Members replace b segments by the length-(l+1) variants
     (one doubled run) and c segments by the length-(l-1) variants, so each
     member is within deletion distance b+c of the center and the members
-    form a clique for b+c deletions.  :class:`CapacityError` is raised,
-    before any member is listed, above 2^22 members
+    form a clique for b+c deletions.  They are listed in one pass over the
+    k slots, left to right, and returned sorted.  :class:`CapacityError` is
+    raised, before any member is listed, above 2^22 members
     (:func:`_segment_clique_size`).
     """
     if l < 4:
@@ -771,38 +769,32 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
 
     # Slot t is segment t, preceded by its separator when t > 0.  It starts
     # on run t(l+1) - 1 (run 0 for t = 0) whatever the variants before it, as
-    # l and l - 2 have the same parity, so its first symbol is fixed.
-    variants = [
-        [(1,) * l],
-        [tuple(2 if j == i else 1 for j in range(l)) for i in range(l)],
-        [tuple(2 if j == i else 1 for j in range(l - 2)) for i in range(l - 2)],
+    # l and l - 2 have the same parity, so its first symbol is fixed.  A slot
+    # keeps the center's l unit runs, or doubles one of them (a doubled
+    # segment), or keeps l - 2 and doubles one of those (a shortened one);
+    # a kind that (b, c) has no room for is left out.
+    kinds = [(0, 0, [(1,) * l])] + [
+        (di, dj, [(1,) * i + (2,) + (1,) * (r - i - 1) for i in range(r)])
+        for di, dj, r in ((1, 0, l), (0, 1, l - 2)) if di <= b and dj <= c
     ]
-
-    def words(kinds: Sequence[int]) -> List[int]:
-        """The values of the members whose slot t takes a variant of kind
-        kinds[t]: 0 the center's segment, 1 one run doubled, 2 two runs fewer."""
-        out, at = [0], 0
-        for t in reversed(range(k)):
-            sep = (3,) if t else ()
-            first = (t * (l + 1) - len(sep)) % 2
-            shifted = [packed(sep + seg, first) << at for seg in variants[kinds[t]]]
-            out = [x | y for x in out for y in shifted]
-            at += sum(sep + variants[kinds[t]][0])
-        return out
-
-    values = []
-    for pos_b in itertools.combinations(range(k), b):
-        remaining = [i for i in range(k) if i not in pos_b]
-        for pos_c in itertools.combinations(remaining, c):
-            kinds = [0] * k
-            for t in pos_b:
-                kinds[t] = 1
-            for t in pos_c:
-                kinds[t] = 2
-            values += words(kinds)
+    # groups[i, j]: the values of the first t slots, i of them doubled and j
+    # shortened, kept only while the slots left can still reach (b, c)
+    groups: Dict[Tuple[int, int], List[int]] = {(0, 0): [0]}
+    for t in range(k):
+        sep = (3,) if t else ()
+        first = (t * (l + 1) - len(sep)) % 2
+        grown: Dict[Tuple[int, int], List[int]] = {}
+        for di, dj, segs in kinds:
+            width = sum(sep + segs[0])
+            ends = [packed(sep + seg, first) for seg in segs]
+            for (i, j), prefixes in groups.items():
+                if i + di <= b and j + dj <= c and b + c - i - j - di - dj < k - t:
+                    grown.setdefault((i + di, j + dj), []).extend(
+                        [p << width | e for p in prefixes for e in ends])
+        groups = grown
     # all members have length m + b - c, so they sort by value
-    members = [BitString.from_value(v, m + b - c) for v in sorted(values)]
-    center = BitString.from_value(words([0] * k)[0], m)
+    members = [BitString.from_value(v, m + b - c) for v in sorted(groups[b, c])]
+    center = BitString.from_value(packed((((3,) + (1,) * l) * k)[1:], 0), m)
     return CliqueWitness(
         kind="segment",
         vertices=tuple(members),

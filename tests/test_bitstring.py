@@ -53,6 +53,8 @@ class TestBitString:
     def test_parse_render_round_trip(self):
         for text in ["", "0", "1", "0110001", "0" * 63]:
             assert str(B(text)) == text
+        assert B(B("0110")) == B("0110")
+        assert repr(B("0110")) == "BitString('0110')"
 
     def test_equality_distinguishes_lengths(self):
         assert B("0") != B("00")
@@ -77,6 +79,9 @@ class TestBitString:
         B("0" * MAX_LENGTH)
         with pytest.raises(ValueError):
             B("0" * (MAX_LENGTH + 1))
+        assert len(B([0] * MAX_LENGTH)) == MAX_LENGTH
+        with pytest.raises(ValueError, match=f"exceeds maximum {MAX_LENGTH}"):
+            B([0] * (MAX_LENGTH + 1))
 
     def test_indexing_leftmost_first(self):
         x = B("0110001")
@@ -111,6 +116,8 @@ class TestBitString:
     def test_concatenation(self):
         assert B("01") + B("10") == B("0110")
         assert B("") + B("1") == B("1")
+        with pytest.raises(TypeError):
+            B("01") + "1"
 
     def test_from_value_range_checks(self):
         assert B.from_value(5, 4) == B("0101")

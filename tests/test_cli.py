@@ -93,6 +93,19 @@ class TestConstruct:
         assert err.startswith("error:") and f"--kind {kind} requires {flag}" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("args", [
+        ("--kind", "vt", "--n", "8", "--residue", "0", "--s", "2"),
+        ("--kind", "vt", "--n", "8", "--residue", "0", "--s", "-1"),
+        ("--kind", "layer", "--n", "8", "--k", "4", "--s", "3"),
+    ])
+    def test_single_deletion_kinds_refuse_other_s(self, capsys, tmp_path, args):
+        path = tmp_path / "c.txt"
+        rc, out, err = run(capsys, "construct", *args, "--out", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "--s" in err
+        assert not path.exists()
+
     def test_budget_exhaustion_exits_1(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "construct", "--kind", "weight-partition", "--n", "9",

@@ -279,6 +279,14 @@ class TestWeightPartitionCode:
         with pytest.raises(ValueError, match="returned 1000, outside layer 0"):
             weight_partition_code(4, 1, 0, solver)
 
+    def test_non_bitstring_from_layer_solver_rejected(self):
+        # a str has no .value, so the weight check alone raised AttributeError
+        def solver(s, n, k):
+            return [str(x) for x in layer_color_solver(s, n, k)]
+
+        with pytest.raises(ValueError, match="returned '0000' for layer 0, not a BitString"):
+            weight_partition_code(4, 1, 0, solver)
+
     def test_residue_out_of_range(self):
         with pytest.raises(ValueError):
             weight_partition_code(4, 1, 2, layer_color_solver)

@@ -976,6 +976,16 @@ class TestSegmentClique:
                     assert [str(x) for x in w.vertices] == members, (l, k, b, c)
                     assert str(w.center) == center, (l, k, b, c)
 
+    def test_pinned_large_family(self):
+        # beyond the reference test's 2,000 members: (5, 6, 3, 3), pinned by
+        # its member count, center and a digest of its sorted members
+        w = segment_clique(5, 6, 3, 3)
+        assert len(w.vertices) == 67500
+        assert str(w.center) == "010101110101011101010111010101110101011101010"
+        digest = hashlib.sha256(repr([str(x) for x in w.vertices]).encode()).hexdigest()
+        assert digest.startswith("a4e1c7e471904896")
+        assert w.params == {"l": 5, "k": 6, "b": 3, "c": 3}
+
     def test_distances_to_center(self):
         w = segment_clique(4, 2, 1, 1)
         for y in w.vertices:
