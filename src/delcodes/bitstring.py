@@ -8,6 +8,7 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
 
@@ -137,12 +138,18 @@ def weight(x: BitString) -> int:
 
 
 def _word_values(n: int, k: Optional[int] = None) -> Sequence[int]:
-    """Packed values of all n-symbol words, or of the weight-k ones, ascending."""
+    """Packed values of all n-symbol words, or of the weight-k ones, ascending.
+
+    A layer is listed from the k-subsets of its bit positions, not filtered
+    from all 2^n words: combinations of the bits taken highest first come out
+    in descending value order, so the reversed list ascends."""
     if n > MAX_LAYER_N:
         raise CapacityError(f"word enumeration limited to n <= {MAX_LAYER_N}, got n={n}")
     if k is None:
         return range(1 << n)
-    return [v for v in range(1 << n) if v.bit_count() == k]
+    values = list(map(sum, itertools.combinations([1 << i for i in reversed(range(n))], k)))
+    values.reverse()
+    return values
 
 
 def _vt_modulus(n: int, k: Optional[int] = None) -> int:

@@ -16,6 +16,7 @@ from typing import List, Optional
 from . import counting, graph as graph_mod
 from .bitstring import BitString, _check_length, _vt_classes, delete_all, insert_all
 from .codes import (
+    chromatic_certificate,
     chromatic_lower_bound,
     constant_weight_guarantee,
     find_conflict,
@@ -28,7 +29,6 @@ from .codes import (
     read_code_file,
     verify_code,
     vt_code,
-    vt_weight,
     weight_partition_code,
     write_code_file,
 )
@@ -53,6 +53,7 @@ def _frac(value: Fraction) -> str:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    graph_mod._check_budget(args.budget)  # checked even where no solver reads it
     if args.n > MAX_CONSTRUCT_N:
         raise CapacityError(f"construct limited to n <= {MAX_CONSTRUCT_N}")
     if args.kind != "weight-partition" and args.s != 1:
@@ -68,7 +69,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # weight-partition
         if args.residue is None:
             raise ValueError("--kind weight-partition requires --residue")
-        if args.solver == "exact":  # --budget is read only here
+        if args.solver == "exact":
             solver = make_exact_layer_solver(args.budget)
         else:
             solver = {"layer": layer_color_solver, "greedy": greedy_layer_solver}[args.solver]
@@ -111,6 +112,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_alpha(args: argparse.Namespace) -> int:
+    graph_mod._check_budget(args.budget)  # checked even where no solver reads it
     g = build_graph(args.s, args.n, args.k)
     exhausted = False
     if args.method == "greedy":
@@ -236,12 +238,16 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     )
     check("vt-codes-valid", ok)
 
-    # Full-graph coloring is proper and the greedy set meets the Turan floor.
+    # The full graph's chromatic certificate holds (a proper coloring and a
+    # clique of the same size), and the greedy set meets the Turan floor.
     ok = True
     for n in range(2, min(max_n, 8) + 1):
         g = build_graph(1, n)
-        coloring = {x: vt_weight(x) for x in g.vertices}
-        if not graph_mod.verify_coloring(g, coloring):
+        coloring, clique, num_colors = chromatic_certificate(n)
+        colors_used = len(set(coloring.assignment.values()))
+        if not (graph_mod.verify_coloring(g, coloring.assignment)
+                and graph_mod.verify_clique(g, clique.vertices)
+                and colors_used == num_colors == len(clique.vertices)):
             ok = False
         _, avg, _ = degree_stats(g)
         if len(greedy_mis(g)) < len(g) / (avg + 1):

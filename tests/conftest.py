@@ -4,7 +4,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import settings
 
-from delcodes import build_graph
+from delcodes import BitString, build_graph
 
 # Fixed example sequences make property-test failures reproducible, and no
 # deadline keeps them from flaking on a host whose speed drifts.
@@ -15,6 +15,11 @@ settings.load_profile("delcodes")
 @lru_cache(maxsize=None)
 def _graph(s, n, layer=None):
     return build_graph(s, n, layer)
+
+
+def all_words(n):
+    """Every n-symbol word as a BitString, in value order."""
+    return [BitString.from_value(v, n) for v in range(1 << n)]
 
 
 def string_words(n, k=None):

@@ -45,13 +45,9 @@ from delcodes import (
     imperfectness_witness,
 )
 
-from conftest import _graph as G
+from conftest import _graph as G, all_words
 
 B = BitString
-
-
-def all_words(n):
-    return [B.from_value(v, n) for v in range(1 << n)]
 
 
 def test_criterion_01_vt_validity():

@@ -28,20 +28,23 @@ from delcodes.bitstring import (
     _deletion_ball_bound,
     _single_deletions,
     _single_insertions,
+    _word_values,
 )
 from delcodes.graph import _deletion_masks
 
-from conftest import string_lcs, string_subsequences, string_supersequences, string_words
+from conftest import (
+    all_words,
+    string_lcs,
+    string_subsequences,
+    string_supersequences,
+    string_words,
+)
 
 B = BitString
 
 
 def bset(*texts):
     return {B(t) for t in texts}
-
-
-def all_words(n):
-    return [B.from_value(v, n) for v in range(1 << n)]
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +142,21 @@ class TestWeight:
         assert weight(B("0000")) == 0
         assert weight(B("1111")) == 4
         assert weight(B("0110001")) == 3
+
+
+class TestWordValues:
+    def test_matches_string_reference(self):
+        for n in range(15):
+            for k in [None, *range(n + 1)]:
+                assert [str(B.from_value(v, n)) for v in _word_values(n, k)] \
+                    == string_words(n, k)
+
+    def test_layer_is_not_filtered_from_all_words(self):
+        # the 231 words of weight 2 come from their bit positions; a filter
+        # over all 2^22 words takes a few tenths of a second
+        start = time.perf_counter()
+        assert len(_word_values(22, 2)) == 231
+        assert time.perf_counter() - start < 0.05
 
 
 class TestDeleteAll:

@@ -127,6 +127,21 @@ class TestConstruct:
         assert "Traceback" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("args", [
+        ("--kind", "vt", "--n", "8", "--residue", "0"),
+        ("--kind", "layer", "--n", "8", "--k", "3"),
+        ("--kind", "weight-partition", "--n", "8", "--s", "2", "--residue", "0",
+         "--solver", "greedy"),
+    ], ids=["vt", "layer", "weight-partition-greedy"])
+    def test_negative_budget_refused_without_solver(self, capsys, tmp_path, args):
+        # no solver reads --budget here, but a bad one is still refused
+        path = tmp_path / "c.txt"
+        rc, out, err = run(capsys, "construct", *args, "--budget", "-1", "--out", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
+        assert not path.exists()
+
     def test_capacity_guardrail(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "construct", "--kind", "vt", "--n", "21", "--residue", "0",
@@ -259,6 +274,14 @@ class TestAlpha:
         assert err.startswith("error:") and "budget" in err
         assert "Traceback" not in err
         assert "optimal" not in out
+
+    def test_negative_budget_refused_for_greedy(self, capsys):
+        # greedy reads no budget, but a bad one is still refused
+        rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "5", "--k", "2",
+                           "--method", "greedy", "--budget", "-3")
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "budget" in err
 
     @pytest.mark.parametrize("status, x, message", [
         (4, None, "simulated HiGHS failure"),

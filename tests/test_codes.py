@@ -148,6 +148,31 @@ def test_size_out_of_range_named(call, bad):
         call()
 
 
+def spy_on_classes(monkeypatch):
+    """Record each _vt_classes listing, and fail any _vt_color evaluated outside one."""
+    listings, inside = [], []
+    list_classes, color = bitstring_module._vt_classes, bitstring_module._vt_color
+
+    def classes_spy(n, k=None):
+        listings.append((n, k))
+        inside.append(True)
+        try:
+            return list_classes(n, k)
+        finally:
+            inside.pop()
+
+    def color_spy(v, n, k=None):
+        assert inside, "_vt_color evaluated outside _vt_classes"
+        return color(v, n, k)
+
+    for name, module in list(sys.modules.items()):
+        if name == "delcodes" or name.startswith("delcodes."):
+            for attr, spy in (("_vt_classes", classes_spy), ("_vt_color", color_spy)):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, spy)
+    return listings
+
+
 class TestVtClasses:
     def test_matches_string_reference(self):
         # every class in ascending order, one class per color, the words partitioned
@@ -171,28 +196,14 @@ class TestVtClasses:
     ], ids=["vt_code", "layer_code", "chromatic_certificate", "bounds"])
     def test_one_listing_per_call(self, monkeypatch, capsys, call):
         # each consumer lists the classes once, and no word is colored elsewhere
-        listings, inside = [], []
-        list_classes, color = bitstring_module._vt_classes, bitstring_module._vt_color
-
-        def classes_spy(n, k=None):
-            listings.append((n, k))
-            inside.append(True)
-            try:
-                return list_classes(n, k)
-            finally:
-                inside.pop()
-
-        def color_spy(v, n, k=None):
-            assert inside, "_vt_color evaluated outside _vt_classes"
-            return color(v, n, k)
-
-        for name, module in list(sys.modules.items()):
-            if name == "delcodes" or name.startswith("delcodes."):
-                for attr, spy in (("_vt_classes", classes_spy), ("_vt_color", color_spy)):
-                    if hasattr(module, attr):
-                        monkeypatch.setattr(module, attr, spy)
+        listings = spy_on_classes(monkeypatch)
         assert call() not in (1, 2)  # the CLI's failure exits
         assert len(listings) == 1
+
+    def test_selftest_colors_only_through_classes(self, monkeypatch, capsys):
+        spy_on_classes(monkeypatch)
+        assert cli_module.main(["selftest", "--max-n", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "failures=0"
 
 
 class TestModifiedVtWeight:

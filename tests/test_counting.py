@@ -21,7 +21,7 @@ from delcodes import (
     weighted_insertion_count,
 )
 
-from conftest import string_supersequences, string_words
+from conftest import all_words, string_supersequences, string_words
 
 B = BitString
 
@@ -29,10 +29,6 @@ B = BitString
 def binom(n, k):
     # out-of-range k gives 0, matching the conventions of the closed forms
     return math.comb(n, k) if 0 <= k <= n else 0
-
-
-def all_words(n):
-    return [B.from_value(v, n) for v in range(1 << n)]
 
 
 class TestInsertionCount:
