@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 from .bitstring import (
     BitString,
     _check_layer,
+    _check_length,
     _check_size,
     _deletion_ball,
     _deletion_ball_bound,
@@ -58,6 +59,7 @@ class Code:
 
     def __post_init__(self) -> None:
         _check_size(self.n, self.s, s_up_to_n=False)
+        _check_length(self.n)
         for w in self.words:
             if len(w) != self.n:
                 raise ValueError(f"codeword {w} does not have length {self.n}")
@@ -390,7 +392,13 @@ FILE_MAGIC = "# delcode v1"
 
 
 def write_code_file(code: Code, path: str) -> None:
-    """Write a code in the canonical textual format (sorted, LF endings)."""
+    """Write a code in the canonical textual format (sorted, LF endings).
+
+    The provenance is the header's ``kind`` field, so it must hold no
+    whitespace; ValueError is raised before the file is opened.
+    """
+    if any(ch.isspace() for ch in code.provenance):
+        raise ValueError(f"code kind {code.provenance!r} must be one token, without whitespace")
     with open(path, "w", newline="\n") as fh:
         fh.write(FILE_MAGIC + "\n")
         fh.write(f"# n={code.n} s={code.s} kind={code.provenance}\n")

@@ -122,9 +122,10 @@ class GraphParams:
 class ConfusabilityGraph:
     """Explicit vertex list plus per-vertex neighbor bitmasks.
 
-    Immutable after construction.  Vertices are sorted ascending by their
-    value as binary numerals; all deterministic tie-breaks derive from
-    this ordering.
+    Immutable after construction.  :func:`build_graph` lists vertices
+    ascending by their value as binary numerals; a hand-built graph keeps
+    the order it was given.  Every deterministic tie-break follows the
+    graph's own vertex order.
     """
 
     def __init__(self, params: GraphParams, vertices: Tuple[BitString, ...],
@@ -689,7 +690,9 @@ def _highs_mis(g: ConfusabilityGraph,
         constraints=LinearConstraint(matrix, -math.inf, 1),
         integrality=[1] * len(g),
         bounds=Bounds(0, 1),
-        options={"node_limit": node_budget, "mip_rel_gap": 0.0},
+        # HiGHS holds its node limit in a 32-bit int; a smaller limit is
+        # still within the budget
+        options={"node_limit": min(node_budget, 2**31 - 1), "mip_rel_gap": 0.0},
     )
     # scipy reports HiGHS's node limit (model status 16) as status 4.
     exhausted = result.status == 1 or "HiGHS Status 16:" in result.message

@@ -234,3 +234,5 @@ def test_criterion_13_end_to_end():
                 assert verify_code(code), (n, s, a)
                 sizes.append(len(code.words))
             assert max(sizes) >= floor, (n, s, max(sizes), floor)
+            if (s, n) == (1, 10):  # layer 6 is mapped from layer 4 by complement
+                assert sizes[0] == 76

@@ -67,7 +67,7 @@ class TestConstruct:
         assert int(parse_report(out)["size"]) >= 5
 
     def test_weight_partition_solvers(self, capsys, tmp_path):
-        for solver in ("layer", "greedy"):
+        for solver in ("layer", "greedy", "exact"):
             path = str(tmp_path / f"{solver}.txt")
             rc, out, _ = run(
                 capsys, "construct", "--kind", "weight-partition", "--n", "6",
@@ -177,7 +177,8 @@ class TestVerify:
         ("# n=4 s=-1 kind=x\n0101\n", "s >= 0"),
         ("# n=4 s=1 kind\n0101\n", "malformed parameter header"),
         ("# n=4 s=1 kind=x\n0101\n0101\n", "bad.txt:4: duplicate codeword"),
-    ], ids=["negative-s", "field-without-value", "duplicate-codeword"])
+        ("# n=70 s=1 kind=vt\n", "string length 70 exceeds 63"),
+    ], ids=["negative-s", "field-without-value", "duplicate-codeword", "length-over-63"])
     def test_malformed_file_exits_2(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text("# delcode v1\n" + body)
@@ -268,6 +269,17 @@ class TestAlpha:
         assert fields["optimal"] == "false"
         assert int(fields["size"]) >= 1
 
+    def test_budget_above_highs_node_limit(self, capsys):
+        # HiGHS takes at most 2^31 - 1 nodes; a larger budget still solves
+        rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "11", "--k", "3",
+                           "--budget", str(2**31))
+        assert rc == 0
+        assert err == ""
+        fields = parse_report(out)
+        assert fields["engine"] == "highs"
+        assert fields["size"] == "19"
+        assert fields["optimal"] == "true"
+
     def test_negative_budget_is_usage_error(self, capsys):
         rc, out, err = run(capsys, "alpha", "--s", "1", "--n", "4", "--budget", "-1")
         assert rc == 2
@@ -304,10 +316,14 @@ class TestAlpha:
          "reversal,complement"),  # density 0.722, the middle layer
         (("--s", "1", "--n", "7"), "clique-search", "degeneracy", "reversal,complement"),
         (("--s", "1", "--n", "8", "--budget", "0"), "highs", None, None),
-    ], ids=["degeneracy", "ascending", "full", "highs"])
+        (("--s", "2", "--n", "8", "--k", "1"), "complete", None, None),
+    ], ids=["degeneracy", "ascending", "full", "highs", "complete"])
     def test_clique_search_order_reported(self, capsys, argv, engine, order, symmetry):
-        _, out, _ = run(capsys, "alpha", *argv)
+        rc, out, _ = run(capsys, "alpha", *argv)
         fields = parse_report(out)
+        # only the budget of 0 stops a solve short
+        assert rc == (1 if "--budget" in argv else 0)
+        assert fields["optimal"] == ("false" if rc else "true")
         assert fields["engine"] == engine
         assert fields.get("order") == order
         assert fields.get("symmetry") == symmetry
@@ -344,7 +360,7 @@ class TestBounds:
 
     def test_vt_class_sizes_match_vt_codes(self, capsys):
         # vt_code and bounds share one coloring, so also check plain strings
-        for n in range(1, 11):
+        for n in range(1, 13):
             rc, out, _ = run(capsys, "bounds", "--n", str(n), "--s", "1")
             assert rc == 0
             fields = parse_report(out)
@@ -352,6 +368,7 @@ class TestBounds:
             assert sizes == [len(vt_code(n, a).words) for a in range(n + 1)]
             reference = Counter(string_color(w, n + 1) for w in string_words(n))
             assert sizes == [reference[a] for a in range(n + 1)]
+        assert (sizes[0], sizes[12]) == (316, 315)  # n = 12
 
     def test_two_deletion_report(self, capsys):
         rc, out, _ = run(capsys, "bounds", "--n", "10", "--s", "2")
@@ -397,7 +414,8 @@ class TestWitness:
         )
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0].startswith("# kind=segment")
+        # a segment family corrects b + c deletions, whatever --s says
+        assert lines[0] == "# kind=segment s=2 n=24"
         assert len(lines) == 1 + 144
 
     def test_cycle(self, capsys):
@@ -422,6 +440,11 @@ class TestWitness:
         assert time.perf_counter() - start < 1
         assert rc == 2
         assert err.startswith("error:") and "2^22" in err
+        assert out == ""
+        # a 64-symbol supersequence is refused by the length cap
+        rc, out, err = run(capsys, "witness", "--kind", "clique", "--z", "0101", "--s", "60")
+        assert rc == 2
+        assert err.startswith("error:") and "63" in err
         assert out == ""
 
     @pytest.mark.parametrize("s", ["10", "13"])

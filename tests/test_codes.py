@@ -226,6 +226,7 @@ class TestLayerCode:
     def test_pigeonhole_sizes(self):
         assert len(layer_code(4, 2).words) >= 2
         assert len(layer_code(6, 3).words) >= 5
+        assert len(layer_code(12, 4).words) == 55
 
     def test_valid_and_inside_layer(self):
         for n in range(1, 13):
@@ -547,6 +548,8 @@ class TestTwoStageColoring:
 
         coloring = two_stage_coloring(6, 2, provider)
         assert verify_coloring(G(2, 6), coloring.assignment)
+        # three weight residues of the 20-word middle layer's width
+        assert coloring.num_colors == 3 * math.comb(6, 3)
 
     def test_provider_colorings_checked(self):
         def provider(s, n, k):
@@ -811,6 +814,9 @@ class TestCodeFiles:
         assert back.n == code.n and back.s == code.s
         assert back.words == code.words
         assert back.provenance == code.provenance
+        # an empty kind reads back too
+        write_code_file(make_code(3, 1, [B("010")], ""), str(path))
+        assert read_code_file(str(path)).provenance == ""
 
     def test_exact_format(self, tmp_path):
         code = make_code(3, 1, [B("101"), B("010")], "search")
@@ -838,6 +844,24 @@ class TestCodeFiles:
             read_code_file(str(path))
         path.write_text("# delcode v1\n# n=3 s=1 kind=x\n01\n")
         with pytest.raises(ValueError):
+            read_code_file(str(path))
+
+    @pytest.mark.parametrize("kind", ["has space", "two\nlines", "tab\tin", " lead"], ids=repr)
+    def test_kind_with_whitespace_refused(self, tmp_path, kind):
+        # the header would not read back, so no file is written
+        path = tmp_path / "c.txt"
+        with pytest.raises(ValueError, match="one token"):
+            write_code_file(make_code(3, 1, [B("010")], kind), str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_length_over_63_refused(self, tmp_path, n):
+        # no BitString has more than 63 symbols, so no such code is valid
+        with pytest.raises(CapacityError, match=f"string length {n} exceeds 63"):
+            make_code(n, 1, [], "vt")
+        path = tmp_path / "c.txt"
+        path.write_text(f"# delcode v1\n# n={n} s=1 kind=vt\n")
+        with pytest.raises(ValueError, match=f"c.txt: string length {n} exceeds 63"):
             read_code_file(str(path))
 
     def test_magic_line_alone(self, tmp_path):

@@ -100,6 +100,8 @@ SCAN_GRAPHS = [
     ((1, 11, None), (85, 58367, 131), "16c2c5b74378e9a0", "76c1ef5ff6ae5d6c"),
     ((2, 11, None), (758, 504451, 21), "2c6184049dc16009", "d1b8827b067eb0c1"),
     ((1, 13, 6), (58, 34422, 156), "989dd28b2da6bae9", "edf629ed937a47eb"),
+    # a layer listed from its bit positions, far below the 2^22 words
+    ((1, 22, 2), (42, 4601, 16), "04236161ce89c892", "1d1745322500b8cf"),
 ]
 
 
@@ -149,6 +151,8 @@ class TestBuildGraph:
         g = G(3, 3)
         _, _, edges = degree_stats(g)
         assert edges == 8 * 7 // 2
+        # all 64 words share the empty word
+        assert degree_stats(G(6, 6))[2] == 64 * 63 // 2
 
     def test_layer_shape(self):
         g = G(1, 4, 2)
@@ -587,6 +591,22 @@ class TestExactMis:
         with pytest.raises(BudgetExceededError) as info:
             exact_mis(g)
         assert info.value.best == greedy_mis(g)
+
+    @pytest.mark.parametrize("budget, node_limit", [
+        (5, 5), (2**31 - 1, 2**31 - 1), (2**31, 2**31 - 1), (2**40, 2**31 - 1),
+    ], ids=str)
+    def test_node_limit_fits_highs(self, monkeypatch, budget, node_limit):
+        # HiGHS holds mip_max_nodes in a 32-bit int: a larger budget is
+        # passed as the largest limit it takes, not as a TypeError
+        seen = []
+
+        def capture(*args, options, **kwargs):
+            seen.append(options["node_limit"])
+            return SimpleNamespace(status=0, message="captured", x=None)
+
+        monkeypatch.setattr(scipy.optimize, "milp", capture)
+        _highs_mis(G(1, 8), budget)
+        assert seen == [node_limit]
 
     def test_highs_incumbent_is_at_least_greedy(self, monkeypatch):
         # HiGHS stops at its limit holding one vertex of L(1, 8)
