@@ -159,7 +159,9 @@ def _vt_modulus(n: int, k: Optional[int] = None) -> int:
 
 def _vt_color(v: int, n: int, k: Optional[int] = None) -> int:
     """Sum of the 1-based positions of the ones of packed word v, mod _vt_modulus: the
-    coloring of :mod:`delcodes.codes`'s VT and layer codes, here so lower modules read it."""
+    coloring of :mod:`delcodes.codes`'s VT and layer codes.  Only :mod:`delcodes.codes`
+    and :mod:`delcodes.cli` read it: both through :func:`_vt_classes`, and codes also
+    per word, for ``vt_weight`` and ``modified_vt_weight``."""
     return sum(n - j for j in range(n) if v >> j & 1) % _vt_modulus(n, k)
 
 

@@ -407,7 +407,11 @@ def write_code_file(code: Code, path: str) -> None:
 
 
 def read_code_file(path: str) -> Code:
-    """Read a code file, validating the header and codeword lines."""
+    """Read a code file, validating the header and codeword lines.
+
+    Every error names the path.  One raised by the code's own checks keeps
+    its type, so a word length past the cap is a :class:`CapacityError`.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != FILE_MAGIC:
@@ -432,4 +436,4 @@ def read_code_file(path: str) -> Code:
     try:
         return make_code(n, s, [BitString(line) for line in first_line], kind)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -72,22 +72,16 @@ def encode(x: BitString, y: BitString) -> InsertionEncoding:
     """
     if len(y) < len(x):
         raise ValueError("y is shorter than x, so x cannot be a subsequence of y")
-    yb = list(y)
-    yi = 0
-    tracks = {0: [], 1: []}
+    rest = iter(y)
+    tracks = ([], [])  # indexed by the symbol of x
     for u in x:
-        while True:
-            if yi >= len(yb):
-                raise ValueError(f"{x} is not a subsequence of {y}")
-            v = yb[yi]
-            yi += 1
+        for v in rest:
+            tracks[u].append(v ^ u)  # 0 for the match, 1 for a symbol inserted before it
             if v == u:
-                tracks[u].append(0)
                 break
-            tracks[u].append(1)
-    return InsertionEncoding(
-        BitString(tracks[0]), BitString(tracks[1]), BitString(yb[yi:])
-    )
+        else:
+            raise ValueError(f"{x} is not a subsequence of {y}")
+    return InsertionEncoding(BitString(tracks[0]), BitString(tracks[1]), BitString(rest))
 
 
 def decode(x: BitString, z: InsertionEncoding) -> BitString:
@@ -102,19 +96,15 @@ def decode(x: BitString, z: InsertionEncoding) -> BitString:
         )
     if zeros_z1 != k:
         raise EncodingError(f"z1 has {zeros_z1} zeros but the base word has {k} ones")
-    tracks = {0: iter(z.z0), 1: iter(z.z1)}
+    tracks = (iter(z.z0), iter(z.z1))
     out = []
     for u in x:
-        it = tracks[u]
-        while True:
-            w = next(it)  # never runs out: the track has one zero per symbol u of x
+        for w in tracks[u]:  # never runs out: the track has one zero per symbol u of x
+            out.append(u ^ w)
             if w == 0:
-                out.append(u)
                 break
-            out.append(1 - u)
-    for it in (tracks[0], tracks[1]):
-        if next(it, None) is not None:
-            raise EncodingError("insertion track has symbols after its final zero")
+    if any(next(it, None) is not None for it in tracks):
+        raise EncodingError("insertion track has symbols after its final zero")
     out.extend(z.z2)
     return BitString(out)
 

@@ -562,16 +562,21 @@ def _clique_search_mis(g: ConfusabilityGraph,
     of them where it can, directly or by moving its one non-neighbor there
     into a later one of the k, so fewer vertices are branched on.
 
-    At the root, whose subproblem every symmetry of g fixes
-    (:func:`_automorphisms`), the branch on a vertex covers the sets through
-    any of its images, so once it returns the whole orbit leaves the
-    candidates and is not branched on (orbital branching, Ostrowski,
+    At the root, the node of set size 0, whose subproblem every symmetry of
+    g fixes (:func:`_automorphisms`), the branch on a vertex covers the sets
+    through any of its images, so once it returns the whole orbit leaves
+    the candidates and is not branched on (orbital branching, Ostrowski,
     Linderoth, Rossi and Smriglio, Math. Program. 2011).  What is left is a
-    union of orbits, so every symmetry still fixes it.  The orbit of each
-    vertex branched on is found from its three images at most.  This takes
-    L(1,7) to 736 nodes and L(2,11) layer 5 to 104,790.  Every branch below
-    the root counts as one node against ``node_budget``; a vertex skipped
-    with an orbit does not.
+    union of orbits, so every symmetry still fixes it.  The orbit of every
+    vertex is listed once, before the search.  This takes L(1,7) to 736
+    nodes and L(2,11) layer 5 to 104,790.
+
+    Each node is a generator that yields its children in branching order.
+    One loop keeps the path from the root on an explicit stack, so the
+    depth is bounded by memory, not by Python's recursion limit.  The loop
+    counts each child as one node against ``node_budget`` and stops once
+    the count passes it.  The root is no node, nor is a vertex skipped with
+    an orbit.
     """
     adj = g.adjacency
     # a graph routed to HiGHS gets no order, and is sparse; on a complete
@@ -584,16 +589,12 @@ def _clique_search_mis(g: ConfusabilityGraph,
     near = _relabel(adj, order)  # the neighbors of order[p], by position
     apart = [full & ~(mask | 1 << p) for p, mask in enumerate(near)]
     position = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
-    symmetries = [[position[perm[i]] for i in order] for perm in _automorphisms(g).values()]
-    best = best_size = nodes = 0
-
-    def orbit(p: int) -> int:
-        """The positions of order[p]'s images under the symmetries of g."""
-        found = 1 << p
-        for image in symmetries:
-            for q in _iter_bits(found):
-                found |= 1 << image[q]
-        return found
+    # The orbit of each position under the symmetries: they are commuting
+    # involutions, so one pass per symmetry closes every orbit.
+    orbits = [1 << p for p in range(len(order))]
+    for perm in _automorphisms(g).values():
+        orbits = [found | orbits[position[perm[i]]] for found, i in zip(orbits, order)]
+    best = best_size = 0
 
     def clique_from(free: int) -> int:
         """The clique of g taken greedily, in position order, from free."""
@@ -604,13 +605,13 @@ def _clique_search_mis(g: ConfusabilityGraph,
             clique |= low
         return clique
 
-    def expand(cand: int, chosen: int, size: int, root: bool = False) -> bool:
-        """Search below one node; False once the budget is exhausted."""
-        nonlocal best, best_size, nodes
+    def expand(cand: int, chosen: int, size: int) -> Iterator[Tuple[int, int, int]]:
+        """The children of one node, in branching order, as (cand, chosen, size)."""
+        nonlocal best, best_size
         if not cand:
             if size > best_size:
                 best, best_size = chosen, size
-            return True
+            return
         # Greedy clique partition of the candidates: an independent set among
         # the vertices of the first c cliques has at most c members.  The
         # first k cliques are pruned whole, so only the later ones are branched on.
@@ -645,23 +646,29 @@ def _clique_search_mis(g: ConfusabilityGraph,
             clique &= cand  # at the root, the orbits already branched on are gone
             while clique:
                 if size + bound <= best_size:
-                    return True
+                    return
                 p = clique.bit_length() - 1
-                nodes += 1
-                if nodes > node_budget:
-                    return False
-                if not expand(cand & apart[p], chosen | 1 << p, size + 1):
-                    return False
+                yield cand & apart[p], chosen | 1 << p, size + 1
                 # At the root, every set through an image of p maps back onto
                 # one through p, which the branch has covered.
-                done = orbit(p) if root else 1 << p
+                done = orbits[p] if size == 0 else 1 << p
                 cand &= ~done
                 clique &= ~done
             bound -= 1
-        return True
 
-    exhausted = not expand(full, 0, 0, root=True)
-    return {g.vertices[order[p]] for p in _iter_bits(best)}, exhausted
+    # The path from the root to the current node, one generator per node.
+    stack, nodes = [expand(full, 0, 0)], 0
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > node_budget:
+            break
+        stack.append(expand(*child))
+    # a frame is left on the stack only if the budget ran out
+    return {g.vertices[order[p]] for p in _iter_bits(best)}, bool(stack)
 
 
 def _highs_mis(g: ConfusabilityGraph,

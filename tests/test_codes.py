@@ -861,7 +861,7 @@ class TestCodeFiles:
             make_code(n, 1, [], "vt")
         path = tmp_path / "c.txt"
         path.write_text(f"# delcode v1\n# n={n} s=1 kind=vt\n")
-        with pytest.raises(ValueError, match=f"c.txt: string length {n} exceeds 63"):
+        with pytest.raises(CapacityError, match=f"c.txt: string length {n} exceeds 63"):
             read_code_file(str(path))
 
     def test_magic_line_alone(self, tmp_path):

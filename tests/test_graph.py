@@ -789,18 +789,33 @@ class TestExactMis:
             exact_mis(G(1, 8))
 
     @pytest.mark.parametrize("s, n, k, budget, size", [
-        (1, 9, 3, 1000, 13), (1, 9, 6, 1000, 13), (1, 8, 3, 300, 10), (1, 7, None, 1000, 16),
-        (2, 10, 5, 600, 8),
+        (1, 9, 3, 212, 13), (1, 9, 6, 215, 13), (1, 8, 3, 55, 10), (1, 7, None, 736, 16),
+        (2, 10, 5, 433, 8), (2, 8, 4, 5, 4), (3, 9, 4, 8, 3), (2, 9, None, 1848, 11),
     ])
     def test_proof_fits_node_budget(self, s, n, k, budget, size):
-        # degeneracy order below density 3/10 and Re-NUMBER shrink the proofs
-        # (ascending degree without Re-NUMBER takes 5398, 5173, 594 and 2723
-        # nodes on the first four), and orbit pruning at the root shrinks them
-        # again: 286, 267, 141, 1797 and 1156 nodes without it, 212, 215,
-        # 55, 736 and 433 with it
+        # each budget is the exact node count of the proof, so one fewer
+        # runs out; the first four take the degeneracy order, the rest the
+        # ascending one.  Degeneracy order below density 3/10 and Re-NUMBER
+        # shrink the proofs (ascending degree without Re-NUMBER takes 5398,
+        # 5173, 594 and 2723 nodes on the first four), and orbit pruning at
+        # the root shrinks them again: 286, 267, 141, 1797 and 1156 nodes
+        # without it on the first five
         g = G(s, n, k)
         out = exact_mis(g, budget)
         assert len(out) == size and verify_independent(g, out)
+        with pytest.raises(BudgetExceededError):
+            exact_mis(g, budget - 1)
+
+    def test_large_alpha_needs_no_deep_stack(self):
+        # the search keeps its path on a list, not in nested calls, so an
+        # alpha far past Python's recursion limit is solved
+        words = tuple(B.from_value(v, 11) for v in range(1100))
+        g = ConfusabilityGraph(GraphParams(1, 11), words, (0,) * len(words))
+        assert exact_mis(g) == set(words)
+        words = tuple(B.from_value(v, 12) for v in range(2100))
+        g = ConfusabilityGraph(GraphParams(1, 12), words, tuple(1 << (i ^ 1) for i in range(2100)))
+        out = exact_mis(g)
+        assert len(out) == 1050 and verify_independent(g, out)
 
     def test_automorphisms(self):
         # each permutation, and reversal with complement, carries every
