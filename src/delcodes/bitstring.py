@@ -237,9 +237,19 @@ def _check_length(n: int) -> None:
         raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
 
 
+def _check_int(name: str, value: int) -> None:
+    """Raise TypeError, naming the argument, unless value is an integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_layer(n: int, k: Optional[int] = None) -> None:
-    """Raise ValueError, naming n or k, unless n >= 0 and, for a layer k,
+    """Raise TypeError unless n and k (where given) are integers, and
+    ValueError, naming n or k, unless n >= 0 and, for a layer k,
     0 <= k <= n, the weights of n-symbol words."""
+    _check_int("n", n)
+    if k is not None:
+        _check_int("k", k)
     if n < 0:
         raise ValueError(f"require n >= 0, got n={n}")
     if k is not None and not 0 <= k <= n:
@@ -247,8 +257,10 @@ def _check_layer(n: int, k: Optional[int] = None) -> None:
 
 
 def _check_size(n: int, s: int, *, s_up_to_n: bool = True) -> None:
-    """Raise ValueError, naming n and s, unless n >= 0 and s >= 0 and, where
-    ``s_up_to_n``, s <= n."""
+    """Raise TypeError unless n and s are integers, and ValueError, naming
+    n and s, unless n >= 0 and s >= 0 and, where ``s_up_to_n``, s <= n."""
+    _check_int("n", n)
+    _check_int("s", s)
     if s_up_to_n and not 0 <= s <= n:
         raise ValueError(f"require 0 <= s <= n, got s={s}, n={n}")
     if n < 0 or s < 0:

@@ -168,19 +168,16 @@ def _cmd_witness(args: argparse.Namespace) -> int:
                     "--kind clique requires --z, or --l/--segments/--b/--c"
                 )
             witness = segment_clique(args.l, args.segments, args.b, args.c)
-        vertices = witness.vertices
-        n = len(vertices[0])
         # a segment family is a clique for b+c deletions regardless of --s
         s = args.b + args.c if witness.kind == "segment" else args.s
-        print(f"# kind={witness.kind} s={s} n={n}")
+        kind, vertices = witness.kind, witness.vertices
     elif args.kind == "cycle":
-        vertices = induced_cycle(args.s, args.cycle_len)
-        print(f"# kind=cycle s={args.s} n={len(vertices[0])}")
+        kind, s, vertices = "cycle", args.s, induced_cycle(args.s, args.cycle_len)
     else:  # imperfect
         if args.n is None:
             raise ValueError("--kind imperfect requires --n")
-        vertices = imperfectness_witness(args.s, args.n)
-        print(f"# kind=imperfect s={args.s} n={args.n}")
+        kind, s, vertices = "imperfect", args.s, imperfectness_witness(args.s, args.n)
+    print(f"# kind={kind} s={s} n={len(vertices[0])}")
     for v in vertices:
         print(v)
     return 0
@@ -192,68 +189,37 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         # the checks would pass vacuously: below 2 the coloring check has no
         # graph, and below 1 the duality and VT checks have no words either
         raise ValueError(f"--max-n must be at least 2, got {max_n}")
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
+    words = [BitString.from_value(v, n) for n in range(min(max_n, 6) + 1) for v in range(1 << n)]
+    # Every check runs before any line prints, so an error leaves no partial report.
+    checks = {
+        # Counting agrees with brute-force enumeration.
+        "insertion-count": all(
+            len(insert_all(x, s)) == counting.insertion_count(s, len(x) + s)
+            for x in words for s in range(3)),
+        # Duality of deletion and insertion; words[0], the empty word, has no deletions.
+        "deletion-insertion-duality": all(
+            x in insert_all(y, 1) for x in words[1:] for y in delete_all(x, 1)),
+        # Codec round trip.
+        "codec-round-trip": all(
+            counting.decode(x, counting.encode(x, y)) == y
+            for x in words if len(x) <= 5 for y in insert_all(x, 2)),
+        # Every residue class verifies as a single-deletion code.
+        "vt-codes-valid": all(
+            verify_code(vt_code(n, a)) for n in range(1, min(max_n, 8) + 1) for a in range(n + 1)),
+        # The full graph's chromatic certificate holds (a proper coloring and a
+        # clique of the same size), and the greedy set meets the Turan floor.
+        "coloring-and-turan": all(
+            graph_mod.verify_coloring(g, coloring.assignment)
+            and graph_mod.verify_clique(g, clique.vertices)
+            and len(set(coloring.assignment.values())) == num_colors == len(clique.vertices)
+            and len(greedy_mis(g)) >= len(g) / (degree_stats(g)[1] + 1)
+            for g, (coloring, clique, num_colors) in (
+                (build_graph(1, n), chromatic_certificate(n))
+                for n in range(2, min(max_n, 8) + 1))),
+    }
+    for name, ok in checks.items():
         print(f"{'ok' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures += 1
-
-    # Counting agrees with brute-force enumeration.
-    ok = True
-    for n in range(0, min(max_n, 6) + 1):
-        for v in range(1 << n):
-            x = BitString.from_value(v, n)
-            for s in range(0, 3):
-                if len(insert_all(x, s)) != counting.insertion_count(s, n + s):
-                    ok = False
-    check("insertion-count", ok)
-
-    # Duality of deletion and insertion.
-    ok = True
-    for n in range(1, min(max_n, 6) + 1):
-        for v in range(1 << n):
-            x = BitString.from_value(v, n)
-            for y in delete_all(x, 1):
-                if x not in insert_all(y, 1):
-                    ok = False
-    check("deletion-insertion-duality", ok)
-
-    # Codec round trip.
-    ok = True
-    for n in range(0, min(max_n, 5) + 1):
-        for v in range(1 << n):
-            x = BitString.from_value(v, n)
-            for y in insert_all(x, 2):
-                if counting.decode(x, counting.encode(x, y)) != y:
-                    ok = False
-    check("codec-round-trip", ok)
-
-    # Every residue class verifies as a single-deletion code.
-    ok = all(
-        verify_code(vt_code(n, a))
-        for n in range(1, min(max_n, 8) + 1)
-        for a in range(n + 1)
-    )
-    check("vt-codes-valid", ok)
-
-    # The full graph's chromatic certificate holds (a proper coloring and a
-    # clique of the same size), and the greedy set meets the Turan floor.
-    ok = True
-    for n in range(2, min(max_n, 8) + 1):
-        g = build_graph(1, n)
-        coloring, clique, num_colors = chromatic_certificate(n)
-        colors_used = len(set(coloring.assignment.values()))
-        if not (graph_mod.verify_coloring(g, coloring.assignment)
-                and graph_mod.verify_clique(g, clique.vertices)
-                and colors_used == num_colors == len(clique.vertices)):
-            ok = False
-        _, avg, _ = degree_stats(g)
-        if len(greedy_mis(g)) < len(g) / (avg + 1):
-            ok = False
-    check("coloring-and-turan", ok)
-
+    failures = list(checks.values()).count(False)
     print(f"failures={failures}")
     return 0 if failures == 0 else 1
 

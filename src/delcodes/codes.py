@@ -61,6 +61,8 @@ class Code:
         _check_size(self.n, self.s, s_up_to_n=False)
         _check_length(self.n)
         for w in self.words:
+            if not isinstance(w, BitString):
+                raise TypeError(f"codeword {w!r} is not a BitString")
             if len(w) != self.n:
                 raise ValueError(f"codeword {w} does not have length {self.n}")
 
@@ -419,11 +421,14 @@ def read_code_file(path: str) -> Code:
     if len(lines) < 2 or not lines[1].startswith("# "):
         raise ValueError(f"{path}: missing parameter header line")
     try:
-        fields = dict(part.split("=", 1) for part in lines[1][2:].split())
+        pairs = [part.split("=", 1) for part in lines[1][2:].split()]
+        fields = dict(pairs)  # ValueError for a field without "="
+        if sorted(key for key, _ in pairs) != ["kind", "n", "s"]:
+            raise ValueError("want n, s and kind, each once")
         n = int(fields["n"])
         s = int(fields["s"])
         kind = fields["kind"]
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: malformed parameter header") from exc
     first_line: Dict[str, int] = {}
     for lineno, line in enumerate(lines[2:], start=3):

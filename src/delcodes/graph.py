@@ -69,6 +69,7 @@ from .bitstring import (
     MAX_LAYER_N,
     BitString,
     CapacityError,
+    _check_int,
     _check_layer,
     _check_length,
     _check_size,
@@ -424,8 +425,7 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
 def _check_budget(node_budget: int) -> None:
     """Raise TypeError unless node_budget is an integer (a bool is not), and
     ValueError if it is negative."""
-    if isinstance(node_budget, bool) or not isinstance(node_budget, int):
-        raise TypeError(f"node budget must be an integer, got {node_budget!r}")
+    _check_int("node budget", node_budget)
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
 

@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line front end."""
 
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +21,7 @@ from delcodes import (
     vt_code,
     write_code_file,
 )
+from delcodes import cli as cli_module, counting, graph as graph_mod
 from delcodes.cli import main
 from delcodes.graph import _route
 
@@ -178,7 +183,10 @@ class TestVerify:
         ("# n=4 s=1 kind\n0101\n", "malformed parameter header"),
         ("# n=4 s=1 kind=x\n0101\n0101\n", "bad.txt:4: duplicate codeword"),
         ("# n=70 s=1 kind=vt\n", "string length 70 exceeds 63"),
-    ], ids=["negative-s", "field-without-value", "duplicate-codeword", "length-over-63"])
+        ("# n=4 s=1 kind=vt n=3\n010\n", "malformed parameter header"),
+        ("# n=3 s=1 kind=vt x=1\n010\n", "malformed parameter header"),
+    ], ids=["negative-s", "field-without-value", "duplicate-codeword", "length-over-63",
+            "repeated-field", "unknown-field"])
     def test_malformed_file_exits_2(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text("# delcode v1\n" + body)
@@ -479,6 +487,51 @@ class TestWitness:
         assert err.startswith("error:") and "--n" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, rc, out, err", [
+        (["clique", "--s", "1", "--z", "000"], 0,
+         "# kind=substring s=1 n=4\n0000\n0001\n0010\n0100\n1000\n", ""),
+        (["clique", "--s", "2", "--z", "01"], 0,
+         "# kind=substring s=2 n=4\n0001\n0010\n0011\n0100\n0101\n0110\n0111\n"
+         "1001\n1010\n1011\n1101\n", ""),
+        (["clique", "--s", "2", "--z", "010", "--k", "2"], 0,
+         "# kind=layer-substring s=2 n=5\n00101\n00110\n01001\n01010\n01100\n10010\n10100\n",
+         ""),
+        (["clique", "--l", "4", "--segments", "1", "--b", "1", "--c", "0"], 0,
+         "# kind=segment s=1 n=5\n00101\n01001\n01011\n01101\n", ""),
+        (["clique", "--l", "4", "--segments", "2", "--b", "0", "--c", "1"], 0,
+         "# kind=segment s=1 n=10\n0010001010\n0101000100\n0101000110\n0110001010\n", ""),
+        (["clique", "--s", "7", "--l", "4", "--segments", "2", "--b", "1", "--c", "0"], 0,
+         "# kind=segment s=1 n=12\n001010001010\n010010001010\n010100010010\n010100010100\n"
+         "010100010110\n010100011010\n010110001010\n011010001010\n", ""),
+        (["cycle", "--s", "2", "--cycle-len", "3"], 0,
+         "# kind=cycle s=2 n=3\n111\n001\n100\n", ""),
+        (["imperfect", "--s", "1", "--n", "4"], 0,
+         "# kind=imperfect s=1 n=4\n1100\n0110\n0011\n0001\n1000\n", ""),
+        (["clique", "--z", "", "--s", "0"], 0, "# kind=substring s=0 n=0\n\n", ""),
+        (["clique", "--z", "", "--s", "2"], 0, "# kind=substring s=2 n=2\n00\n01\n10\n11\n", ""),
+        (["clique", "--s", "1"], 2, "",
+         "error: --kind clique requires --z, or --l/--segments/--b/--c\n"),
+        (["clique", "--l", "4", "--segments", "2", "--b", "1"], 2, "",
+         "error: --kind clique requires --z, or --l/--segments/--b/--c\n"),
+        (["imperfect", "--s", "1"], 2, "", "error: --kind imperfect requires --n\n"),
+        (["cycle", "--s", "0"], 2, "", "error: s must be at least 1, got 0\n"),
+        (["clique", "--z", "0101", "--s", "60"], 2, "", "error: string length 64 exceeds 63\n"),
+        (["clique", "--z", "0" * 10, "--s", "20", "--k", "9"], 2, "",
+         "error: supersequences (n=10, s=20, r=9) limited to 2^22 words, got 14307150\n"),
+        (["clique", "--z", "0", "--s", "2", "--k", "9"], 2, "",
+         "error: layer weight 9 unreachable from a weight-0 base with 2 insertions\n"),
+    ], ids=["substring", "substring-s2", "layer-substring", "segment-b", "segment-c",
+            "segment-ignores-s", "cycle-s2", "imperfect-n4", "empty-z-s0", "empty-z-s2",
+            "no-shape", "segment-without-c", "imperfect-without-n", "cycle-s0",
+            "length-cap", "layer-size-cap", "unreachable-layer"])
+    def test_output_pinned(self, capsys, argv, rc, out, err):
+        # exit code, stdout and stderr, byte for byte
+        assert run(capsys, "witness", "--kind", *argv) == (rc, out, err)
+
+
+SELFTEST_CHECKS = ["insertion-count", "deletion-insertion-duality", "codec-round-trip",
+                   "vt-codes-valid", "coloring-and-turan"]
+
 
 class TestSelftest:
     def test_passes(self, capsys):
@@ -487,6 +540,34 @@ class TestSelftest:
         lines = out.splitlines()
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "failures=0"
+
+    @pytest.mark.parametrize("module, name, stub, check", [
+        (counting, "insertion_count", lambda s, n: -1, "insertion-count"),
+        (cli_module, "delete_all", lambda x, s: {x}, "deletion-insertion-duality"),
+        (counting, "decode", lambda x, z: None, "codec-round-trip"),
+        (cli_module, "verify_code", lambda code: False, "vt-codes-valid"),
+        (graph_mod, "verify_clique", lambda g, vertices: False, "coloring-and-turan"),
+    ], ids=SELFTEST_CHECKS)
+    def test_one_failing_check_exits_1(self, capsys, monkeypatch, module, name, stub, check):
+        # each stub breaks a call that only its own check reads
+        monkeypatch.setattr(module, name, stub)
+        rc, out, err = run(capsys, "selftest", "--max-n", "4")
+        assert rc == 1
+        assert out.splitlines() == [
+            f"{'FAIL' if c == check else 'ok'} {c}" for c in SELFTEST_CHECKS
+        ] + ["failures=1"]
+        assert err == ""
+
+    def test_module_entry_point(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        result = subprocess.run(
+            [sys.executable, "-m", "delcodes.cli", "selftest", "--max-n", "2"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "failures=0"
 
     @pytest.mark.parametrize("max_n", ["1", "0", "-3"])
     def test_max_n_below_two_is_usage_error(self, capsys, max_n):

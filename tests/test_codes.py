@@ -148,6 +148,25 @@ def test_size_out_of_range_named(call, bad):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_graph(True, 4), "s must be an integer, got True"),
+    (lambda: build_graph(1, 4.0), "n must be an integer, got 4.0"),
+    (lambda: build_graph(1, 4, True), "k must be an integer, got True"),
+    (lambda: make_code(2, 1, ["01", "10"], "vt"), "codeword '01' is not a BitString"),
+    (lambda: make_code(True, 1, [B("1")], "vt"), "n must be an integer, got True"),
+    (lambda: make_code(1, 1.0, [B("1")], "vt"), "s must be an integer, got 1.0"),
+    (lambda: vt_code(True, 0), "n must be an integer, got True"),
+    (lambda: layer_code(4, 2.0), "k must be an integer, got 2.0"),
+    (lambda: layer_code(False, 0), "n must be an integer, got False"),
+], ids=["build_graph-bool-s", "build_graph-float-n", "build_graph-bool-k",
+        "make_code-str-word", "make_code-bool-n", "make_code-float-s", "vt_code-bool-n",
+        "layer_code-float-k", "layer_code-bool-n"])
+def test_non_integer_size_or_word_is_type_error(call, message):
+    # a bool passes for 0 or 1 and a float for its value, so both are refused
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
 def spy_on_classes(monkeypatch):
     """Record each _vt_classes listing, and fail any _vt_color evaluated outside one."""
     listings, inside = [], []
