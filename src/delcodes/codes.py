@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .bitstring import (
     BitString,
+    _check_int,
     _check_layer,
     _check_length,
     _check_size,
@@ -197,6 +198,7 @@ def weight_partition_size_bound(n: int, a: int) -> Fraction:
     """Single-deletion floor (2^n - C(n, k*)) / (n + 1) on the union code size;
     1, the size of the code of the empty word, at n = 0 for a = 0 (no k* to subtract)."""
     _check_size(n, 1, s_up_to_n=False)  # a single-deletion bound
+    _check_int("a", a)
     if a not in (0, 1):
         raise ValueError(f"parity residue must be 0 or 1, got {a}")
     k = _k_star(n, a)
@@ -329,6 +331,7 @@ def chromatic_certificate(n: int, k: Optional[int] = None
     Single deletion only: n+1 colors for the full graph, max(k, n-k)+1 for
     a weight layer.
     """
+    _check_int("n", n)
     if k is None:
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")

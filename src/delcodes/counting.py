@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bitstring import BitString, _check_size, _insertion_count, _weighted_insertion_count, weight
+from .bitstring import (BitString, _check_int, _check_size, _insertion_count,
+                        _weighted_insertion_count, weight)
 
 
 class EncodingError(ValueError):
@@ -30,6 +31,8 @@ def weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
 
     Counts the supersequences produced by inserting r ones and s-r zeros.
     """
+    for name, value in (("s", s), ("r", r), ("n", n), ("k", k)):
+        _check_int(name, value)
     if not 0 <= r <= s <= n:
         raise ValueError(f"require 0 <= r <= s <= n, got r={r}, s={s}, n={n}")
     if not r <= k <= n - s + r:

@@ -6,6 +6,10 @@ words; two words are adjacent when their deletion distance is at most 2s,
 equivalently when they share a common length-(n-s) subsequence.  A layer
 restricts the vertex set to a single Hamming weight.
 
+A graph holds its words as packed values of one length, and every pass
+reads those: a :class:`BitString` is made only for a word a pass
+returns, or for all of them when ``vertices`` is first read.
+
 Edges come from the deletion balls of the vertices: the vertices whose
 balls contain one length-(n-s) word z form a clique, and every edge lies
 in such a clique.  The balls are never built one vertex at a time: one
@@ -32,9 +36,10 @@ One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
 minimum degree and the degeneracy order of the exact search by maximum
 degree, a few whole-mask operations per degree bit and removed vertex.  A
 coloring is checked with one mask per color class.  A graph built by
-hand is checked for the symmetric, loop-free adjacency all three assume,
-its masks equal to their transpose (``_transpose``, three whole-int swaps
-on 8 x 8 bit tiles, which also give the peel its first degree planes).
+hand is checked for words of one length, each listed once, and for the
+symmetric, loop-free adjacency all three assume, its masks equal to their
+transpose (``_transpose``, three whole-int swaps on 8 x 8 bit tiles,
+which also give the peel its first degree planes).
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
@@ -121,42 +126,86 @@ class GraphParams:
 
 
 class ConfusabilityGraph:
-    """Explicit vertex list plus per-vertex neighbor bitmasks.
+    """Vertex words of one length plus per-vertex neighbor bitmasks.
 
     Immutable after construction.  :func:`build_graph` lists vertices
     ascending by their value as binary numerals; a hand-built graph keeps
     the order it was given.  Every deterministic tie-break follows the
     graph's own vertex order.
+
+    The words are held as packed values (``BitString.value``) of one
+    length; ``vertices``, their :class:`BitString` tuple, is made on first
+    read and then kept.  A word is a vertex when it has that length and
+    one of those values.  A hand-built graph is checked for distinct words
+    of one length and a symmetric, loop-free adjacency; :func:`build_graph`'s
+    are trusted.
     """
 
-    def __init__(self, params: GraphParams, vertices: Tuple[BitString, ...],
-                 adjacency: Tuple[int, ...], _skip_adjacency_check: bool = False):
-        self.params = params
+    def __init__(self, params: GraphParams, vertices: Sequence[BitString],
+                 adjacency: Sequence[int]):
+        vertices = tuple(vertices)
+        odd = next((x for x in vertices if not isinstance(x, BitString)), None)
+        if odd is not None:
+            raise TypeError(f"vertex {odd!r} is not a BitString")
+        lengths = sorted({len(x) for x in vertices})
+        if len(lengths) > 1:
+            raise ValueError(f"vertices have lengths {lengths}, not one length")
+        self._trust(params, lengths[0] if lengths else params.n,
+                    [x.value for x in vertices], adjacency)
         self.vertices = vertices
-        self.adjacency = tuple(adjacency)
-        self._index: Dict[BitString, int] = {v: i for i, v in enumerate(vertices)}
         if len(self._index) != len(vertices):
-            twice = next(v for i, v in enumerate(vertices) if self._index[v] != i)
+            twice = next(x for i, x in enumerate(vertices) if self._index[x.value] != i)
             raise ValueError(f"vertex {twice} appears more than once")
+        _check_adjacency(len(vertices), self.adjacency)
+
+    @classmethod
+    def _of_values(cls, params: GraphParams, n: int, values: Sequence[int],
+                   adjacency: Sequence[int]) -> "ConfusabilityGraph":
+        """The graph on the n-symbol words with these distinct values and this
+        symmetric, loop-free adjacency, taken unchecked: :func:`build_graph`'s."""
+        g = cls.__new__(cls)
+        g._trust(params, n, values, adjacency)
+        return g
+
+    def _trust(self, params: GraphParams, n: int, values: Sequence[int],
+               adjacency: Sequence[int]) -> None:
+        """Set every field; nothing is checked here."""
+        self.params = params
+        self._length = n  # of every word; params.n, unchecked, for no words
+        self._values = values
+        self.adjacency = tuple(adjacency)
         self._facts: Dict[Callable, object] = {}  # see _once
-        if not _skip_adjacency_check:  # build_graph's is symmetric and loop-free
-            _check_adjacency(len(vertices), self.adjacency)
+
+    @functools.cached_property
+    def vertices(self) -> Tuple[BitString, ...]:
+        """The words in vertex order, made on first read and then kept."""
+        return tuple(map(BitString.from_value, self._values, itertools.repeat(self._length)))
+
+    @functools.cached_property
+    def _index(self) -> Dict[int, int]:
+        """Position of each word, by value."""
+        return dict(zip(self._values, itertools.count()))
+
+    def _words(self, positions: Iterable[int]) -> Set[BitString]:
+        """The words at these positions, made without listing the others."""
+        values, n = self._values, self._length
+        return {BitString.from_value(values[i], n) for i in positions}
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._values)
 
     def index_of(self, x: BitString) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise ValueError(f"{x} is not a vertex of this graph") from None
+        if isinstance(x, BitString) and len(x) == self._length:
+            i = self._index.get(x.value)
+            if i is not None:
+                return i
+        raise ValueError(f"{x} is not a vertex of this graph")
 
     def degree(self, x: BitString) -> int:
         return self.adjacency[self.index_of(x)].bit_count()
 
     def neighbors(self, x: BitString) -> Set[BitString]:
-        mask = self.adjacency[self.index_of(x)]
-        return {self.vertices[i] for i in _iter_bits(mask)}
+        return self._words(_iter_bits(self.adjacency[self.index_of(x)]))
 
     def has_edge(self, x: BitString, y: BitString) -> bool:
         return bool(self.adjacency[self.index_of(x)] >> self.index_of(y) & 1)
@@ -309,11 +358,9 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     size = 1 << n if layer is None else math.comb(n, layer)
     if size > MAX_VERTICES:
         raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
-    vert_values = _word_values(n, layer)
-    vertices = tuple(BitString.from_value(v, n) for v in vert_values)
-    return ConfusabilityGraph(GraphParams(s, n, layer), vertices,
-                              _deletion_masks(vert_values, n, s)[0],
-                              _skip_adjacency_check=True)
+    values = _word_values(n, layer)
+    return ConfusabilityGraph._of_values(GraphParams(s, n, layer), n, values,
+                                         _deletion_masks(values, n, s)[0])
 
 
 def _once(fact: Callable) -> Callable:
@@ -331,12 +378,19 @@ def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
     with deleting symbols, so :func:`build_graph` graphs keep reversal, and
     complement on the full graph and the middle layer: a group of order <= 4.
     """
-    words = [str(x) for x in g.vertices]
-    index = {w: i for i, w in enumerate(words)}
-    flip = str.maketrans("01", "10")
+    values, n, index = g._values, g._length, g._index
+    table = [0]  # table[b] is byte b with its bits reversed
+    for _ in range(8):
+        table = [2 * b for b in table] + [2 * b + 1 for b in table]
+    flip = bytes(table)
+
+    def reverse(v: int) -> int:
+        # v's 8 bytes (n <= 63), low first, each reversed, read high first
+        return int.from_bytes(v.to_bytes(8, "little").translate(flip), "big") >> 64 - n
+
     maps = {}
-    for name, op in (("reversal", lambda w: w[::-1]), ("complement", lambda w: w.translate(flip))):
-        perm = [index.get(op(w), -1) for w in words]
+    for name, op in (("reversal", reverse), ("complement", lambda v: v ^ (1 << n) - 1)):
+        perm = [index.get(op(v), -1) for v in values]
         if -1 not in perm and tuple(_relabel(g.adjacency, perm)) == g.adjacency:
             maps[name] = perm
     return maps
@@ -350,8 +404,8 @@ def _highs_rows(g: ConfusabilityGraph) -> Optional[List[List[int]]]:
     every edge.  Else None, as when s is not in 0..n, a word is not n
     symbols long, or Levenshtein's bound passes 2^22."""
     s, n = g.params.s, g.params.n
-    values = [x.value for x in g.vertices]
-    if not (0 <= s <= n and all(len(x) == n for x in g.vertices)
+    values = g._values
+    if not (0 <= s <= n == g._length
             and sum(_deletion_ball_bound(v, n, s) for v in values) <= 1 << MAX_LAYER_N):
         return None
     adjacency, bottom = _deletion_masks(values, n, s)
@@ -393,15 +447,20 @@ def verify_independent(g: ConfusabilityGraph, vs: Iterable[BitString]) -> bool:
 def verify_coloring(g: ConfusabilityGraph, coloring: Mapping[BitString, int]) -> bool:
     """True iff the coloring is total on g's vertices and proper.
 
-    The labels may be any hashable values.  Each color class is kept as
-    one vertex mask, grown in vertex order; since adjacency is symmetric,
-    the coloring is proper iff no vertex is adjacent to an earlier member
-    of its own class.
+    The labels may be any hashable values, and a key that is not a vertex
+    is ignored.  The mapping's items are read, so g's words need not be
+    listed.  Each color class is kept as one vertex mask, grown in vertex
+    order; since adjacency is symmetric, the coloring is proper iff no
+    vertex is adjacent to an earlier member of its own class.
     """
-    try:
-        colors = [coloring[v] for v in g.vertices]
-    except KeyError as missing:
-        raise ValueError(f"coloring is missing vertex {missing.args[0]}") from None
+    n, index, unset = g._length, g._index, object()
+    colors: List[object] = [unset] * len(g)
+    for x, c in coloring.items():
+        if isinstance(x, BitString) and len(x) == n and (i := index.get(x.value)) is not None:
+            colors[i] = c
+    missing = next((i for i, c in enumerate(colors) if c is unset), None)
+    if missing is not None:
+        raise ValueError(f"coloring is missing vertex {BitString.from_value(g._values[missing], n)}")
     classes: Dict[object, int] = {}
     for i, (mask, c) in enumerate(zip(g.adjacency, colors)):
         members = classes.get(c, 0)
@@ -419,7 +478,7 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
     (:func:`_peel`).  The result meets the Turan guarantee
     |V| / (avg degree + 1).
     """
-    return {g.vertices[i] for i in _peel(g.adjacency, fewest=True)}
+    return g._words(_peel(g.adjacency, fewest=True))
 
 
 def _check_budget(node_budget: int) -> None:
@@ -448,7 +507,7 @@ def exact_mis(g: ConfusabilityGraph,
     _check_budget(node_budget)  # before scipy, whose option check rejects a non-integer
     engine = _route(g)["engine"]
     if engine == "complete":
-        found, exhausted = set(g.vertices[-1:]), False
+        found, exhausted = g._words(range(len(g))[-1:]), False
     else:
         found, exhausted = (_highs_mis if engine == "highs" else _clique_search_mis)(g, node_budget)
     if not verify_independent(g, found):
@@ -668,7 +727,7 @@ def _clique_search_mis(g: ConfusabilityGraph,
             break
         stack.append(expand(*child))
     # a frame is left on the stack only if the budget ran out
-    return {g.vertices[order[p]] for p in _iter_bits(best)}, bool(stack)
+    return g._words(order[p] for p in _iter_bits(best)), bool(stack)
 
 
 def _highs_mis(g: ConfusabilityGraph,
@@ -685,7 +744,7 @@ def _highs_mis(g: ConfusabilityGraph,
     if cliques is None:
         raise ValueError("the supersequence cliques of g's parameters are not g's edges")
     if not cliques:
-        return set(g.vertices), False
+        return g._words(range(len(g))), False
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -707,7 +766,7 @@ def _highs_mis(g: ConfusabilityGraph,
         raise RuntimeError(f"exact solver failed: {result.message}")
     if result.x is None:
         return set(), exhausted
-    return {v for v, x in zip(g.vertices, result.x) if x > 0.5}, exhausted
+    return g._words(i for i, x in enumerate(result.x) if x > 0.5), exhausted
 
 
 @dataclass(frozen=True)
@@ -730,6 +789,7 @@ def substring_clique(z: BitString, s: int,
             vertices=tuple(sorted(insert_all(z, s))),
             params={"z": z, "s": s},
         )
+    _check_int("layer", layer)
     r = layer - weight(z)
     if not 0 <= r <= s:
         raise ValueError(
@@ -759,6 +819,8 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     raised, before any member is listed, above 2^22 members
     (:func:`_segment_clique_size`).
     """
+    for name, value in (("l", l), ("k", k), ("b", b), ("c", c)):
+        _check_int(name, value)
     if l < 4:
         raise ValueError(f"segment length l must be at least 4, got {l}")
     if b < 0 or c < 0:
@@ -830,6 +892,8 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
     Vertices have length (cycle_len - 2) * s + 1; consecutive pairs are
     adjacent and no other pair is.
     """
+    _check_int("s", s)
+    _check_int("cycle_len", cycle_len)
     if s < 1:
         raise ValueError(f"s must be at least 1, got {s}")
     if cycle_len < 3:
@@ -848,6 +912,7 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
 def imperfectness_witness(s: int, n: int) -> List[BitString]:
     """Five length-n words inducing a chordless 5-cycle for s deletions."""
     cycle = induced_cycle(s, 5)  # checks s >= 1
+    _check_int("n", n)
     if n < 3 * s + 1:
         raise ValueError(f"require n >= 3s + 1 = {3 * s + 1}, got n={n}")
     _check_length(n)

@@ -24,6 +24,8 @@ from delcodes import (
     deletion_distance,
     find_conflict,
     greedy_layer_solver,
+    imperfectness_witness,
+    induced_cycle,
     greedy_mis,
     insert_all,
     insert_all_weighted,
@@ -36,6 +38,7 @@ from delcodes import (
     modified_vt_weight,
     penalty_ratio,
     read_code_file,
+    segment_clique,
     substring_clique,
     two_stage_coloring,
     verify_clique,
@@ -47,6 +50,7 @@ from delcodes import (
     weight,
     weight_partition_code,
     weight_partition_size_bound,
+    weighted_insertion_count,
     write_code_file,
 )
 from delcodes import bitstring as bitstring_module, cli as cli_module, codes as codes_module
@@ -164,6 +168,32 @@ def test_size_out_of_range_named(call, bad):
 def test_non_integer_size_or_word_is_type_error(call, message):
     # a bool passes for 0 or 1 and a float for its value, so both are refused
     with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: induced_cycle(True, 5), "s"),
+    (lambda: induced_cycle(1, 5.0), "cycle_len"),
+    (lambda: imperfectness_witness(True, 5), "s"),
+    (lambda: imperfectness_witness(1, 5.0), "n"),
+    (lambda: segment_clique(4.0, 2, 1, 0), "l"),
+    (lambda: segment_clique(4, 2, True, 0), "b"),
+    (lambda: chromatic_certificate(4.0), "n"),
+    (lambda: substring_clique(B("01"), 1, True), "layer"),
+    (lambda: substring_clique(B("01"), 1, 1.0), "layer"),
+    (lambda: weighted_insertion_count(True, 0, 4, 2), "s"),
+    (lambda: weighted_insertion_count(1, 0, 4.0, 2), "n"),
+    (lambda: weight_partition_size_bound(6, True), "a"),
+], ids=["induced_cycle-bool-s", "induced_cycle-float-cycle_len",
+        "imperfectness_witness-bool-s", "imperfectness_witness-float-n",
+        "segment_clique-float-l", "segment_clique-bool-b", "chromatic_certificate-float-n",
+        "substring_clique-bool-layer", "substring_clique-float-layer",
+        "weighted_insertion_count-bool-s", "weighted_insertion_count-float-n",
+        "weight_partition_size_bound-bool-a"])
+def test_non_integer_argument_named(call, name):
+    # the witness builders and the counts run the same integer check, where a
+    # bool returned a result and a float failed deep inside without a name
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         call()
 
 

@@ -205,6 +205,11 @@ class TestBuildGraph:
         # a repeated word: the greedy and exact sets would hold one copy
         with pytest.raises(ValueError, match="vertex 0 appears more than once"):
             ConfusabilityGraph(GraphParams(0, 1), (B("0"), B("0")), (0, 0))
+        # words of two lengths: a vertex is looked up by its value at one length
+        with pytest.raises(ValueError, match=r"lengths \[1, 2\]"):
+            ConfusabilityGraph(GraphParams(0, 1), (B("0"), B("01")), (0, 0))
+        with pytest.raises(TypeError, match="'01' is not a BitString"):
+            ConfusabilityGraph(GraphParams(0, 2), ("01", "10"), (0, 0))
         assert greedy_mis(hand_built([0b110, 0b001, 0b001])) == {B("000001"), B("000010")}
 
     @pytest.mark.parametrize("v", [0, 1, 2, 7, 8, 9, 11, 16, 17, 65, 130, 257])
@@ -246,6 +251,27 @@ class TestBuildGraph:
     def test_index_of_unknown_vertex(self):
         with pytest.raises(ValueError):
             G(1, 4).index_of(B("01"))
+        # the value of vertex 0001 one symbol short, and its text
+        for x in (B("001"), "0001"):
+            with pytest.raises(ValueError, match="is not a vertex"):
+                G(1, 4).index_of(x)
+
+    def test_words_made_only_for_returned_sets(self, monkeypatch):
+        # the graph holds packed words: building it and its degree statistics
+        # make no BitString, and the greedy set makes one per member
+        made = []
+        real = B.from_value
+
+        def spy(value, length):
+            made.append(value)
+            return real(value, length)
+
+        monkeypatch.setattr(B, "from_value", spy)
+        g = build_graph(2, 12)
+        degree_stats(g)
+        assert made == []
+        chosen = greedy_mis(g)
+        assert len(made) == len(chosen) == 32
 
     def test_edge_generation_matches_pairwise_distance(self):
         # clique expansion versus the distance definition of adjacency
@@ -380,6 +406,10 @@ class TestVerifyColoring:
         for n in range(1, 9):
             g = G(1, n)
             assert verify_coloring(g, {x: vt_weight(x) for x in g.vertices})
+            # keys that are not vertices, read last: longer words, whose values
+            # cover every vertex's, and the vertices' text
+            extra = {x: -1 for x in G(1, n + 1).vertices} | {str(x): -1 for x in g.vertices}
+            assert verify_coloring(g, {**{x: vt_weight(x) for x in g.vertices}, **extra})
 
     def test_constant_map(self):
         edgeless = G(0, 3)
