@@ -43,8 +43,7 @@ class BitString:
             self._v = bits._v
             return
         if isinstance(bits, str):
-            if len(bits) > MAX_LENGTH:
-                raise ValueError(f"length {len(bits)} exceeds maximum {MAX_LENGTH}")
+            _check_length(len(bits))
             # checked first: int() also takes " 01", "0_1" and "+1"
             bad = bits.strip("01")
             if bad:
@@ -53,8 +52,7 @@ class BitString:
             self._v = int(bits or "0", 2)
             return
         sym = list(bits)
-        if len(sym) > MAX_LENGTH:
-            raise ValueError(f"length {len(sym)} exceeds maximum {MAX_LENGTH}")
+        _check_length(len(sym))
         v = 0
         for b in sym:
             if not isinstance(b, int) or b not in (0, 1):  # 1.0 == 1, but int | 1.0 fails
@@ -237,10 +235,17 @@ def _check_length(n: int) -> None:
         raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
 
 
-def _check_int(name: str, value: int) -> None:
-    """Raise TypeError, naming the argument, unless value is an integer (a bool is not)."""
+def _check_int(name: str, value: int, low: Optional[int] = None,
+               high: Optional[int] = None) -> None:
+    """Raise TypeError, naming the argument, unless value is an integer (a
+    bool is not), and ValueError, naming it, unless low <= value (where low
+    is given) and value <= high (where both are): ``{name} must be at least
+    {low}, got {value}`` or ``{name} must be in {low}..{high}, got {value}``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be an integer, got {value!r}")
+    if low is not None and (value < low or high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
 def _check_layer(n: int, k: Optional[int] = None) -> None:
@@ -248,12 +253,10 @@ def _check_layer(n: int, k: Optional[int] = None) -> None:
     ValueError, naming n or k, unless n >= 0 and, for a layer k,
     0 <= k <= n, the weights of n-symbol words."""
     _check_int("n", n)
-    if k is not None:
-        _check_int("k", k)
     if n < 0:
         raise ValueError(f"require n >= 0, got n={n}")
-    if k is not None and not 0 <= k <= n:
-        raise ValueError(f"layer weight {k} out of range 0..{n}")
+    if k is not None:
+        _check_int("k", k, 0, n)
 
 
 def _check_size(n: int, s: int, *, s_up_to_n: bool = True) -> None:
@@ -328,8 +331,7 @@ def insert_all_weighted(x: BitString, s: int, r: int) -> Set[BitString]:
     """
     n, w = len(x), weight(x)
     _check_size(n, s, s_up_to_n=False)
-    if not 0 <= r <= s:
-        raise ValueError(f"one-insertion count {r} out of range 0..{s}")
+    _check_int("r", r, 0, s)
     _check_length(n + s)
     _refuse_over_cap(_weighted_insertion_count(s, r, n + s, w + r),
                      f"supersequences (n={n}, s={s}, r={r})")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import counting, graph as graph_mod
-from .bitstring import BitString, _check_length, _vt_classes, delete_all, insert_all
+from .bitstring import BitString, _check_int, _check_length, _vt_classes, delete_all, insert_all
 from .codes import (
     chromatic_certificate,
     chromatic_lower_bound,
@@ -56,8 +56,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     graph_mod._check_budget(args.budget)  # checked even where no solver reads it
     if args.n > MAX_CONSTRUCT_N:
         raise CapacityError(f"construct limited to n <= {MAX_CONSTRUCT_N}")
-    if args.kind != "weight-partition" and args.s != 1:
-        raise ValueError(f"--kind {args.kind} corrects one deletion; got --s {args.s}")
+    if args.s != 1 and (args.kind != "weight-partition" or args.solver == "layer"):
+        flag = "--solver layer" if args.kind == "weight-partition" else f"--kind {args.kind}"
+        raise ValueError(f"{flag} corrects one deletion; got --s {args.s}")
     if args.kind == "vt":
         if args.residue is None:
             raise ValueError("--kind vt requires --residue")
@@ -185,10 +186,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
     max_n = args.max_n
-    if max_n < 2:
-        # the checks would pass vacuously: below 2 the coloring check has no
-        # graph, and below 1 the duality and VT checks have no words either
-        raise ValueError(f"--max-n must be at least 2, got {max_n}")
+    # the checks would pass vacuously: below 2 the coloring check has no
+    # graph, and below 1 the duality and VT checks have no words either
+    _check_int("--max-n", max_n, 2)
     words = [BitString.from_value(v, n) for n in range(min(max_n, 6) + 1) for v in range(1 << n)]
     # Every check runs before any line prints, so an error leaves no partial report.
     checks = {

@@ -104,8 +104,7 @@ def modified_vt_weight(x: BitString) -> int:
 def vt_code(n: int, residue: int) -> Code:
     """All length-n words whose weighted sum is the given residue mod n+1."""
     _check_size(n, 1, s_up_to_n=False)  # a single-deletion code
-    if not 0 <= residue <= n:
-        raise ValueError(f"residue {residue} out of range 0..{n}")
+    _check_int("residue", residue, 0, n)
     words = (BitString.from_value(v, n) for v in _vt_classes(n)[residue])
     return make_code(n, 1, words, "vt")
 
@@ -122,6 +121,7 @@ def layer_code(n: int, k: int) -> Code:
 
 def layer_color_solver(s: int, n: int, k: int) -> Set[BitString]:
     """Per-layer solver backed by the reduced-modulus coloring (s = 1 only)."""
+    _check_int("s", s)
     if s != 1:
         raise ValueError("the coloring-based layer solver handles s = 1 only")
     return set(layer_code(n, k).words)
@@ -172,8 +172,7 @@ def weight_partition_code(n: int, s: int, residue_a: int,
     layer solver returns anything but a BitString of its layer.
     """
     _check_size(n, s, s_up_to_n=False)
-    if not 0 <= residue_a <= s:
-        raise ValueError(f"residue {residue_a} out of range 0..{s}")
+    _check_int("residue_a", residue_a, 0, s)
     words: Set[BitString] = set()
     for k in range(n + 1):
         if k % (s + 1) == residue_a:
@@ -198,9 +197,7 @@ def weight_partition_size_bound(n: int, a: int) -> Fraction:
     """Single-deletion floor (2^n - C(n, k*)) / (n + 1) on the union code size;
     1, the size of the code of the empty word, at n = 0 for a = 0 (no k* to subtract)."""
     _check_size(n, 1, s_up_to_n=False)  # a single-deletion bound
-    _check_int("a", a)
-    if a not in (0, 1):
-        raise ValueError(f"parity residue must be 0 or 1, got {a}")
+    _check_int("a", a, 0, 1)
     k = _k_star(n, a)
     return Fraction(2**n - (0 if k is None else math.comb(n, k)), n + 1)
 
@@ -331,10 +328,8 @@ def chromatic_certificate(n: int, k: Optional[int] = None
     Single deletion only: n+1 colors for the full graph, max(k, n-k)+1 for
     a weight layer.
     """
-    _check_int("n", n)
     if k is None:
-        if n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
+        _check_int("n", n, 1)
         clique = substring_clique(BitString("0" * (n - 1)), 1)
     else:
         _check_layer(n, k)
@@ -353,8 +348,7 @@ def _best_segment_params(s: int, n: int) -> Optional[Tuple[int, int, int, int, i
     """``(size, l, k, b, c)`` of the largest feasible segment clique with
     members of length n and b + c = s (the first found on a tie), or None.
     ValueError unless s >= 1 and n >= 0."""
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
+    _check_int("s", s, 1)
     _check_size(n, s, s_up_to_n=False)
     best: Optional[Tuple[int, int, int, int, int]] = None
     for b in range(s + 1):

@@ -31,12 +31,10 @@ def weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
 
     Counts the supersequences produced by inserting r ones and s-r zeros.
     """
-    for name, value in (("s", s), ("r", r), ("n", n), ("k", k)):
-        _check_int(name, value)
-    if not 0 <= r <= s <= n:
-        raise ValueError(f"require 0 <= r <= s <= n, got r={r}, s={s}, n={n}")
-    if not r <= k <= n - s + r:
-        raise ValueError(f"require r <= k <= n-s+r, got r={r}, k={k}, n-s+r={n - s + r}")
+    _check_int("n", n, 0)
+    _check_int("s", s, 0, n)
+    _check_int("r", r, 0, s)
+    _check_int("k", k, r, n - s + r)
     return _weighted_insertion_count(s, r, n, k)
 
 
@@ -113,9 +111,9 @@ def decode(x: BitString, z: InsertionEncoding) -> BitString:
 
 
 def _check_s_and_p(s: int, p: float = 0.0) -> None:
-    """Raise ValueError unless s >= 0 and 0 <= p <= 1, for f_s and its constants."""
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    """Raise TypeError unless s is an integer, and ValueError unless s >= 0
+    and 0 <= p <= 1, for f_s and its constants."""
+    _check_int("s", s, 0)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 

@@ -484,9 +484,7 @@ def greedy_mis(g: ConfusabilityGraph) -> Set[BitString]:
 def _check_budget(node_budget: int) -> None:
     """Raise TypeError unless node_budget is an integer (a bool is not), and
     ValueError if it is negative."""
-    _check_int("node budget", node_budget)
-    if node_budget < 0:
-        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
+    _check_int("node budget", node_budget, 0)
 
 
 def exact_mis(g: ConfusabilityGraph,
@@ -819,14 +817,10 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     raised, before any member is listed, above 2^22 members
     (:func:`_segment_clique_size`).
     """
-    for name, value in (("l", l), ("k", k), ("b", b), ("c", c)):
-        _check_int(name, value)
-    if l < 4:
-        raise ValueError(f"segment length l must be at least 4, got {l}")
-    if b < 0 or c < 0:
-        raise ValueError("segment counts b and c must be nonnegative")
-    if k < 1 or b + c > k:
-        raise ValueError(f"require 1 <= k and b + c <= k, got k={k}, b={b}, c={c}")
+    for name, value, low in (("l", l, 4), ("k", k, 1), ("b", b, 0), ("c", c, 0)):
+        _check_int(name, value, low)
+    if b + c > k:
+        raise ValueError(f"require b + c <= k, got k={k}, b={b}, c={c}")
     m = k * (l + 3) - 3
     _check_length(max(m, m + b - c))
     _refuse_over_cap(_segment_clique_size(l, k, b, c), "segment cliques")
@@ -892,12 +886,8 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
     Vertices have length (cycle_len - 2) * s + 1; consecutive pairs are
     adjacent and no other pair is.
     """
-    _check_int("s", s)
-    _check_int("cycle_len", cycle_len)
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
-    if cycle_len < 3:
-        raise ValueError(f"cycle length must be at least 3, got {cycle_len}")
+    _check_int("s", s, 1)
+    _check_int("cycle_len", cycle_len, 3)
     n = (cycle_len - 2) * s + 1
     _check_length(n)
     xs = [
@@ -910,10 +900,8 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
 
 
 def imperfectness_witness(s: int, n: int) -> List[BitString]:
-    """Five length-n words inducing a chordless 5-cycle for s deletions."""
+    """Five length-n words, n >= 3s + 1, inducing a chordless 5-cycle for s deletions."""
     cycle = induced_cycle(s, 5)  # checks s >= 1
-    _check_int("n", n)
-    if n < 3 * s + 1:
-        raise ValueError(f"require n >= 3s + 1 = {3 * s + 1}, got n={n}")
+    _check_int("n", n, 3 * s + 1)
     _check_length(n)
     return [BitString("0" * (n - 3 * s - 1)) + v for v in cycle]

@@ -79,11 +79,12 @@ class TestBitString:
                 B(text)
 
     def test_length_cap(self):
+        # the str and the list forms refuse a long word as every entry point does
         B("0" * MAX_LENGTH)
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError, match=f"^string length 64 exceeds {MAX_LENGTH}$"):
             B("0" * (MAX_LENGTH + 1))
         assert len(B([0] * MAX_LENGTH)) == MAX_LENGTH
-        with pytest.raises(ValueError, match=f"exceeds maximum {MAX_LENGTH}"):
+        with pytest.raises(CapacityError, match=f"^string length 64 exceeds {MAX_LENGTH}$"):
             B([0] * (MAX_LENGTH + 1))
 
     def test_indexing_leftmost_first(self):

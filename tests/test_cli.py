@@ -102,6 +102,7 @@ class TestConstruct:
         ("--kind", "vt", "--n", "8", "--residue", "0", "--s", "2"),
         ("--kind", "vt", "--n", "8", "--residue", "0", "--s", "-1"),
         ("--kind", "layer", "--n", "8", "--k", "4", "--s", "3"),
+        ("--kind", "weight-partition", "--n", "8", "--s", "2", "--residue", "0"),
     ])
     def test_single_deletion_kinds_refuse_other_s(self, capsys, tmp_path, args):
         path = tmp_path / "c.txt"
@@ -516,6 +517,7 @@ class TestWitness:
         (["imperfect", "--s", "1"], 2, "", "error: --kind imperfect requires --n\n"),
         (["cycle", "--s", "0"], 2, "", "error: s must be at least 1, got 0\n"),
         (["clique", "--z", "0101", "--s", "60"], 2, "", "error: string length 64 exceeds 63\n"),
+        (["clique", "--z", "0" * 64, "--s", "1"], 2, "", "error: string length 64 exceeds 63\n"),
         (["clique", "--z", "0" * 10, "--s", "20", "--k", "9"], 2, "",
          "error: supersequences (n=10, s=20, r=9) limited to 2^22 words, got 14307150\n"),
         (["clique", "--z", "0", "--s", "2", "--k", "9"], 2, "",
@@ -523,7 +525,7 @@ class TestWitness:
     ], ids=["substring", "substring-s2", "layer-substring", "segment-b", "segment-c",
             "segment-ignores-s", "cycle-s2", "imperfect-n4", "empty-z-s0", "empty-z-s2",
             "no-shape", "segment-without-c", "imperfect-without-n", "cycle-s0",
-            "length-cap", "layer-size-cap", "unreachable-layer"])
+            "length-cap", "z-length-cap", "layer-size-cap", "unreachable-layer"])
     def test_output_pinned(self, capsys, argv, rc, out, err):
         # exit code, stdout and stderr, byte for byte
         assert run(capsys, "witness", "--kind", *argv) == (rc, out, err)

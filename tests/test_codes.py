@@ -22,6 +22,9 @@ from delcodes import (
     constant_weight_guarantee_asymptotic,
     delete_all,
     deletion_distance,
+    f_s_bound,
+    f_s_value,
+    f_s_value_multinomial,
     find_conflict,
     greedy_layer_solver,
     imperfectness_witness,
@@ -142,12 +145,34 @@ def test_word_enumeration_capacity():
     (lambda: layer_code(-3, 0), "n=-3"),
     (lambda: chromatic_certificate(-3, 0), "n=-3"),
     (lambda: best_segment_clique(1, -5), "n=-5"),
+    (lambda: vt_code(4, 5), "residue must be in 0..4, got 5"),
+    (lambda: weight_partition_code(6, 1, 2, greedy_layer_solver),
+     "residue_a must be in 0..1, got 2"),
+    (lambda: weight_partition_size_bound(6, 2), "a must be in 0..1, got 2"),
+    (lambda: build_graph(1, 4, 5), "k must be in 0..4, got 5"),
+    (lambda: insert_all_weighted(B("01"), 2, 3), "r must be in 0..2, got 3"),
+    (lambda: weighted_insertion_count(5, 0, 4, 2), "s must be in 0..4, got 5"),
+    (lambda: weighted_insertion_count(2, 1, 6, 6), "k must be in 1..5, got 6"),
+    (lambda: penalty_ratio(-1), "s must be at least 0, got -1"),
+    (lambda: segment_clique(3, 1, 0, 0), "^l must be at least 4, got 3"),
+    (lambda: segment_clique(4, 0, 0, 0), "k must be at least 1, got 0"),
+    (lambda: segment_clique(4, 1, -1, 0), "b must be at least 0, got -1"),
+    (lambda: segment_clique(4, 1, 0, -1), "c must be at least 0, got -1"),
+    (lambda: segment_clique(4, 1, 1, 1), "require b \\+ c <= k, got k=1, b=1, c=1"),
+    (lambda: induced_cycle(1, 2), "cycle_len must be at least 3, got 2"),
+    (lambda: imperfectness_witness(1, 3), "n must be at least 4, got 3"),
+    (lambda: exact_mis(G(1, 3), node_budget=-1), "node budget must be at least 0, got -1"),
 ], ids=["chromatic_lower_bound", "two_stage_coloring", "vt_code", "weight_partition_code",
         "insert_all_weighted", "substring_clique", "insert_all", "delete_all",
         "confusable_set", "insertion_count", "levenshtein_lower_bound", "build_graph", "Code",
-        "layer_code", "chromatic_certificate", "best_segment_clique"])
+        "layer_code", "chromatic_certificate", "best_segment_clique", "vt_code-residue",
+        "weight_partition_code-residue", "weight_partition_size_bound-a", "build_graph-k",
+        "insert_all_weighted-r", "weighted_insertion_count-s", "weighted_insertion_count-k",
+        "penalty_ratio-s", "segment_clique-l", "segment_clique-k", "segment_clique-b",
+        "segment_clique-c", "segment_clique-b-plus-c", "induced_cycle-cycle_len",
+        "imperfectness_witness-n", "exact_mis-budget"])
 def test_size_out_of_range_named(call, bad):
-    # one check for every entry point, naming the bad n or s
+    # one check for every entry point, naming the bad argument and its bounds
     with pytest.raises(ValueError, match=rf"\b{bad}\b"):
         call()
 
@@ -184,15 +209,31 @@ def test_non_integer_size_or_word_is_type_error(call, message):
     (lambda: weighted_insertion_count(True, 0, 4, 2), "s"),
     (lambda: weighted_insertion_count(1, 0, 4.0, 2), "n"),
     (lambda: weight_partition_size_bound(6, True), "a"),
+    (lambda: penalty_ratio(True), "s"),
+    (lambda: f_s_value(True, 0.5), "s"),
+    (lambda: f_s_value_multinomial(1.5, 0.5), "s"),
+    (lambda: f_s_bound(2.0), "s"),
+    (lambda: insert_all_weighted(B("01"), 2, 1.0), "r"),
+    (lambda: insert_all_weighted(B("01"), 2, True), "r"),
+    (lambda: vt_code(5, True), "residue"),
+    (lambda: vt_code(5, 1.0), "residue"),
+    (lambda: weight_partition_code(6, 1, True, layer_color_solver), "residue_a"),
+    (lambda: weight_partition_code(6, 1, 1.0, layer_color_solver), "residue_a"),
+    (lambda: layer_color_solver(True, 5, 2), "s"),
 ], ids=["induced_cycle-bool-s", "induced_cycle-float-cycle_len",
         "imperfectness_witness-bool-s", "imperfectness_witness-float-n",
         "segment_clique-float-l", "segment_clique-bool-b", "chromatic_certificate-float-n",
         "substring_clique-bool-layer", "substring_clique-float-layer",
         "weighted_insertion_count-bool-s", "weighted_insertion_count-float-n",
-        "weight_partition_size_bound-bool-a"])
+        "weight_partition_size_bound-bool-a", "penalty_ratio-bool-s", "f_s_value-bool-s",
+        "f_s_value_multinomial-float-s", "f_s_bound-float-s", "insert_all_weighted-float-r",
+        "insert_all_weighted-bool-r", "vt_code-bool-residue", "vt_code-float-residue",
+        "weight_partition_code-bool-residue", "weight_partition_code-float-residue",
+        "layer_color_solver-bool-s"])
 def test_non_integer_argument_named(call, name):
-    # the witness builders and the counts run the same integer check, where a
-    # bool returned a result and a float failed deep inside without a name
+    # the witness builders, the counts and the residue codes run the same
+    # integer check, where a bool returned a result and a float failed deep
+    # inside without a name
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         call()
 
