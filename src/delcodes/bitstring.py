@@ -64,7 +64,7 @@ class BitString:
     @classmethod
     def from_value(cls, value: int, length: int) -> "BitString":
         """Build from a packed integer whose bit length-1-i holds symbol i."""
-        if not (isinstance(value, int) and isinstance(length, int)):
+        if not (type(value) is int and type(length) is int):  # a bool is not an integer
             raise TypeError(f"value and length must be integers, got {value!r} and {length!r}")
         if not 0 <= length <= MAX_LENGTH:
             raise ValueError(f"length {length} out of range 0..{MAX_LENGTH}")

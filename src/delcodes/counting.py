@@ -10,6 +10,7 @@ existing ones (z1), and arbitrary symbols appended at the end (z2).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .bitstring import (BitString, _check_int, _check_size, _insertion_count,
@@ -111,9 +112,12 @@ def decode(x: BitString, z: InsertionEncoding) -> BitString:
 
 
 def _check_s_and_p(s: int, p: float = 0.0) -> None:
-    """Raise TypeError unless s is an integer, and ValueError unless s >= 0
-    and 0 <= p <= 1, for f_s and its constants."""
+    """Raise TypeError unless s is an integer and p a real number (a bool is
+    neither), and ValueError unless s >= 0 and 0 <= p <= 1, for f_s and its
+    constants."""
     _check_int("s", s, 0)
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise TypeError(f"p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 

@@ -34,12 +34,14 @@ definition is exercised by the test suite.
 
 One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
 minimum degree and the degeneracy order of the exact search by maximum
-degree, a few whole-mask operations per degree bit and removed vertex.  A
-coloring is checked with one mask per color class.  A graph built by
-hand is checked for words of one length, each listed once, and for the
-symmetric, loop-free adjacency all three assume, its masks equal to their
-transpose (``_transpose``, three whole-int swaps on 8 x 8 bit tiles,
-which also give the peel its first degree planes).
+degree.  Each step sums the rows of its removed vertices with carry-save
+adders, a few whole-mask operations per pair of rows, and subtracts the sum
+from the degrees with one borrow ripple.  A coloring is checked with one
+mask per color class.  A graph built by hand is checked for words of one
+length, each listed once, and for the symmetric, loop-free adjacency all
+three assume, its masks equal to their transpose (``_transpose``, three
+whole-int swaps on 8 x 8 bit tiles, which also give the peel its first
+degree planes).
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries and
@@ -567,11 +569,16 @@ def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
     live neighbors leave with it.  Live degrees are bit-sliced: ``planes[t]``
     masks the vertices whose live degree has bit t set, at first a column of
     the degrees (:func:`_transpose`).  The vertex is found with one AND per
-    plane, top down; the live neighbors of the leavers are summed into a
-    fresh bit-sliced count, a carry chain per leaver, which one borrow
-    ripple subtracts from the planes.  So a step costs O(log V) mask
-    operations per leaver, not one per vertex whose degree changes.  Degrees
-    count rows and the count columns, so adjacency must be symmetric.
+    plane, top down.  The rows of the leavers are summed into a bit-sliced
+    count one plane at a time: a lone row passes through, the others fold in
+    pairs into the plane's running total, one 3:2 full adder per pair, and
+    the adders' carries are the next plane's rows.  So a step costs a few
+    mask operations per leaver and per plane, not one per vertex whose
+    degree changes.  Each finished count plane is masked to the live
+    vertices once, and one borrow ripple, cut off once the borrow dies,
+    subtracts the count from the planes.  The step that leaves no vertex
+    alive makes no sum.  Degrees count rows and the count columns, so
+    adjacency must be symmetric.
     """
     degrees = [mask.bit_count() for mask in adjacency]
     planes = _transpose(degrees, max(degrees, default=0).bit_length())
@@ -587,18 +594,31 @@ def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
         taken.append(low.bit_length() - 1)
         leavers = adjacency[taken[-1]] & alive | low if fewest else low
         alive ^= leavers
-        count = [0] * len(planes)  # at most each live degree, so it fits
-        for j in _iter_bits(leavers):
-            carry, t = adjacency[j] & alive, 0
-            while carry:
-                count[t], carry = count[t] ^ carry, count[t] & carry
-                t += 1
-        borrow = 0
-        for t, c in enumerate(count):
+        if not alive:
+            break
+        # the addends of count plane t; a count is at most a degree, so the planes hold it
+        rows, borrow, t = [adjacency[j] for j in _iter_bits(leavers)], 0, 0
+        while rows:
+            it = iter(rows)
+            total = next(it) if len(rows) & 1 else 0
+            rows = []
+            for a, b in zip(it, it):
+                x = a ^ b
+                carry = a & b | total & x
+                total ^= x
+                if carry:
+                    rows.append(carry)
+            c = total & alive
             if c | borrow:
                 plane = planes[t]
                 planes[t] = plane ^ c ^ borrow
                 borrow = ~plane & (c | borrow) | c & borrow
+            t += 1
+        while borrow:
+            plane = planes[t]
+            planes[t] = plane ^ borrow
+            borrow &= ~plane
+            t += 1
     return taken
 
 

@@ -129,8 +129,9 @@ class TestBitString:
             B.from_value(16, 4)
         with pytest.raises(ValueError):
             B.from_value(0, 64)
-        # a float in range would make a word that cannot be printed
-        for value, length in [(1.5, 2), (1.0, 2), (1, 2.0)]:
+        # a float in range would make a word that cannot be printed, and a bool
+        # BitString('01') or a word whose length is True
+        for value, length in [(1.5, 2), (1.0, 2), (1, 2.0), (True, 2), (1, True)]:
             with pytest.raises(TypeError, match="must be integers"):
                 B.from_value(value, length)
 

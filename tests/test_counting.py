@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -276,3 +277,17 @@ class TestPolynomialBound:
             f_s_value(-1, 0.5)
         with pytest.raises(ValueError):
             f_s_bound(-1)
+
+    def test_p_must_be_a_real_number(self):
+        # True would run as p = 1, and a string or None would fail in the comparison
+        for p in (True, False, "0.5", None, 0.5j):
+            for f in (f_s_value, f_s_value_multinomial):
+                with pytest.raises(TypeError, match="p must be a real number"):
+                    f(1, p)
+
+    def test_p_of_each_real_kind(self):
+        for p in (0, 1, 0.5, Fraction(1, 2)):
+            assert f_s_value(2, p) == pytest.approx(f_s_value_multinomial(2, p))
+        assert f_s_value(2, Fraction(1, 2)) == pytest.approx(1.5)
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+            f_s_value(1, Fraction(3, 2))

@@ -106,8 +106,10 @@ SCAN_GRAPHS = [
 
 
 def hand_built(adjacency):
-    """A hand-built graph on the first len(adjacency) words of length 6."""
-    vertices = tuple(B.from_value(i, 6) for i in range(len(adjacency)))
+    """A hand-built graph on the first len(adjacency) words of length 6, or
+    of the length that holds them past 64 vertices."""
+    length = max(6, (len(adjacency) - 1).bit_length())
+    vertices = tuple(B.from_value(i, length) for i in range(len(adjacency)))
     return ConfusabilityGraph(GraphParams(0, 6), vertices, tuple(adjacency))
 
 
@@ -481,10 +483,26 @@ class TestPeel:
     @given(symmetric_adjacency())
     @example([(1 << 33) - 2] + [1] * 32)  # a star, degree 32 in the middle
     @example([((1 << 33) - 1) ^ 1 << i for i in range(33)])  # K_33: degrees cross 32
+    # K_66 minus a perfect matching: the first step takes 65 vertices, and
+    # the survivor's count of leaving neighbors reaches 2^6
+    @example([((1 << 66) - 1) ^ 1 << i ^ 1 << (i ^ 1) for i in range(66)])
+    @example([(1 << 65) - 2] + [1] * 64)  # a star, degree 64 in the middle
+    @example([0] * 9)  # edgeless: one vertex per step, each row summed empty
     def test_peels_match_rescanning_references(self, adjacency):
         g = hand_built(adjacency)
         assert {g.index_of(x) for x in greedy_mis(g)} == set(rescan_peel(adjacency, True))
         assert _degeneracy_order(g.adjacency) == rescan_peel(adjacency, False)[::-1]
+
+    @pytest.mark.parametrize("params, order", [
+        ((2, 12, None), "d885249a938ba64f"),
+        ((3, 11, None), "4a1e322ba941343c"),
+        ((1, 14, 7), "8f2f1db71683a503"),
+        ((2, 13, 6), "b92eca664a045e83"),
+    ], ids=str)
+    def test_peel_orders_pinned(self, params, order):
+        # sha256 prefixes of the degeneracy order of graph-scan-sized graphs;
+        # SCAN_GRAPHS pins the greedy sets of the same graphs
+        assert digest(map(str, _degeneracy_order(build_graph(*params).adjacency))) == order
 
 
 class TestExactMis:
