@@ -55,7 +55,7 @@ class BitString:
         _check_length(len(sym))
         v = 0
         for b in sym:
-            if not isinstance(b, int) or b not in (0, 1):  # 1.0 == 1, but int | 1.0 fails
+            if type(b) is not int or b not in (0, 1):  # refuses 1.0 and True alike
                 raise ValueError(f"invalid symbol {b!r} in bit sequence")
             v = (v << 1) | b
         self._n = len(sym)

@@ -14,9 +14,8 @@ the default one for s = 1, and checks each in the pass that places it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 from .bitstring import (
     BitString,
@@ -49,31 +48,39 @@ from .graph import (
 LayerSolver = Callable[[int, int, int], Iterable[BitString]]
 
 
-@dataclass(frozen=True)
-class Code:
-    """A set of codewords, all of length n, claiming pairwise deletion distance > 2s."""
-
+class _CodeFields(NamedTuple):
     n: int
     s: int
     words: Tuple[BitString, ...]
     provenance: str
 
-    def __post_init__(self) -> None:
-        _check_size(self.n, self.s, s_up_to_n=False)
-        _check_length(self.n)
-        for w in self.words:
+
+class Code(_CodeFields):
+    """A set of codewords, all of length n, claiming pairwise deletion distance > 2s."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, s: int, words: Tuple[BitString, ...], provenance: str) -> "Code":
+        _check_size(n, s, s_up_to_n=False)
+        _check_length(n)
+        for w in words:
             if not isinstance(w, BitString):
                 raise TypeError(f"codeword {w!r} is not a BitString")
-            if len(w) != self.n:
-                raise ValueError(f"codeword {w} does not have length {self.n}")
+            if len(w) != n:
+                raise ValueError(f"codeword {w} does not have length {n}")
+        return super().__new__(cls, n, s, words, provenance)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "Code":
+        # _replace builds through _make, which would otherwise skip the checks
+        return cls(*iterable)
 
 
 def make_code(n: int, s: int, words: Iterable[BitString], provenance: str) -> Code:
     return Code(n=n, s=s, words=tuple(sorted(set(words))), provenance=provenance)
 
 
-@dataclass
-class Coloring:
+class Coloring(NamedTuple):
     """A total color assignment for one deletion graph (or one weight layer)."""
 
     s: int
@@ -398,11 +405,19 @@ def write_code_file(code: Code, path: str) -> None:
     """
     if any(ch.isspace() for ch in code.provenance):
         raise ValueError(f"code kind {code.provenance!r} must be one token, without whitespace")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(FILE_MAGIC + "\n")
         fh.write(f"# n={code.n} s={code.s} kind={code.provenance}\n")
         for w in code.words:
             fh.write(str(w) + "\n")
+
+
+def _decimal(text: str) -> int:
+    """An optional '-' and ASCII digits; int() also takes '+3', '0_3' and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not a decimal integer")
+    return int(text)
 
 
 def read_code_file(path: str) -> Code:
@@ -411,8 +426,11 @@ def read_code_file(path: str) -> Code:
     Every error names the path.  One raised by the code's own checks keeps
     its type, so a word length past the cap is a :class:`CapacityError`.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not lines or lines[0] != FILE_MAGIC:
         raise ValueError(f"{path}: missing '{FILE_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("# "):
@@ -422,8 +440,8 @@ def read_code_file(path: str) -> Code:
         fields = dict(pairs)  # ValueError for a field without "="
         if sorted(key for key, _ in pairs) != ["kind", "n", "s"]:
             raise ValueError("want n, s and kind, each once")
-        n = int(fields["n"])
-        s = int(fields["s"])
+        n = _decimal(fields["n"])
+        s = _decimal(fields["s"])
         kind = fields["kind"]
     except ValueError as exc:
         raise ValueError(f"{path}: malformed parameter header") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bitstring import (BitString, _check_int, _check_size, _insertion_count,
                         _weighted_insertion_count, weight)
@@ -39,8 +39,7 @@ def weighted_insertion_count(s: int, r: int, n: int, k: int) -> int:
     return _weighted_insertion_count(s, r, n, k)
 
 
-@dataclass(frozen=True)
-class InsertionEncoding:
+class InsertionEncoding(NamedTuple):
     """Where the inserted symbols of a supersequence went.
 
     z0 lists, per zero of the base word, how many ones were inserted before

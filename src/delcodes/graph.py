@@ -67,10 +67,10 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from types import MappingProxyType
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from .bitstring import (
     MAX_LAYER_N,
@@ -120,8 +120,7 @@ class BudgetExceededError(RuntimeError):
         self.best = best
 
 
-@dataclass(frozen=True)
-class GraphParams:
+class GraphParams(NamedTuple):
     s: int
     n: int
     layer: Optional[int] = None
@@ -787,13 +786,12 @@ def _highs_mis(g: ConfusabilityGraph,
     return g._words(i for i, x in enumerate(result.x) if x > 0.5), exhausted
 
 
-@dataclass(frozen=True)
-class CliqueWitness:
+class CliqueWitness(NamedTuple):
     """An explicit pairwise-adjacent vertex set with its construction data."""
 
     kind: str  # "substring" | "layer-substring" | "segment"
     vertices: Tuple[BitString, ...]
-    params: Mapping[str, object] = field(default_factory=dict)
+    params: Mapping[str, object] = MappingProxyType({})  # shared, so read-only
     center: Optional[BitString] = None
 
 

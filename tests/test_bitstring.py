@@ -70,7 +70,7 @@ class TestBitString:
         with pytest.raises(ValueError):
             B([0, 2])
         # equal to a symbol, but not an int: rejected like any other symbol
-        for bad in (1.0, 0.0, "1"):
+        for bad in (1.0, 0.0, "1", True, False):
             with pytest.raises(ValueError, match=re.escape(f"invalid symbol {bad!r}")):
                 B([bad, 0])
         # each of these is a valid base-2 numeral for int()

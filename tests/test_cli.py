@@ -186,15 +186,28 @@ class TestVerify:
         ("# n=70 s=1 kind=vt\n", "string length 70 exceeds 63"),
         ("# n=4 s=1 kind=vt n=3\n010\n", "malformed parameter header"),
         ("# n=3 s=1 kind=vt x=1\n010\n", "malformed parameter header"),
+        # int() reads each of these as 3
+        ("# n=+3 s=1 kind=x\n000\n", "malformed parameter header"),
+        ("# n=0_3 s=1 kind=x\n000\n", "malformed parameter header"),
+        ("# n=\u0663 s=1 kind=x\n000\n", "malformed parameter header"),
     ], ids=["negative-s", "field-without-value", "duplicate-codeword", "length-over-63",
-            "repeated-field", "unknown-field"])
+            "repeated-field", "unknown-field", "plus-sign", "underscore", "arabic-indic-digit"])
     def test_malformed_file_exits_2(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.txt"
-        path.write_text("# delcode v1\n" + body)
+        path.write_text("# delcode v1\n" + body, encoding="utf-8")
         rc, out, err = run(capsys, "verify", "--file", str(path))
         assert rc == 2
         assert err.startswith("error:") and message in err
         assert "valid=" not in out
+
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        # code files are UTF-8; a Latin-1 byte is an error that names the file
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# delcode v1\n# n=3 s=1 kind=\xe9\n000\n")
+        rc, out, err = run(capsys, "verify", "--file", str(path))
+        assert rc == 2
+        assert err.startswith(f"error: {path}: ") and "can't decode byte 0xe9" in err
+        assert out == ""
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "verify", "--file", str(tmp_path / "absent.txt"))
@@ -583,6 +596,23 @@ class TestSelftest:
 
 
 class TestUsage:
+    def test_import_loads_neither_dataclasses_nor_scipy(self):
+        # every verb runs in a fresh interpreter, so the import is its latency floor;
+        # scipy loads on the first exact solve, and inspect is most of dataclasses' import
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        script = (
+            "import sys\n"
+            "import delcodes, delcodes.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('dataclasses', 'inspect', 'scipy', 'numpy')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["bounds", "--n", "4", "--s", "1", "--bogus"])

@@ -12,7 +12,10 @@ from delcodes import (
     BitString,
     BudgetExceededError,
     CapacityError,
+    CliqueWitness,
     Code,
+    GraphParams,
+    InsertionEncoding,
     best_segment_clique,
     build_graph,
     chromatic_certificate,
@@ -22,6 +25,7 @@ from delcodes import (
     constant_weight_guarantee_asymptotic,
     delete_all,
     deletion_distance,
+    encode,
     f_s_bound,
     f_s_value,
     f_s_value_multinomial,
@@ -893,6 +897,50 @@ class TestChromaticLowerBound:
         w = best_segment_clique(1, 5)
         assert w.params == {"l": 6, "k": 1, "b": 0, "c": 1}
         assert chromatic_lower_bound(1, 5) == 6
+
+
+class _HashableParams(dict):
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+
+class TestRecords:
+    """The five result records are immutable named tuples, compared by value."""
+
+    def test_fields_cannot_be_assigned(self):
+        coloring, clique, _ = chromatic_certificate(4)
+        records = [GraphParams(1, 4), clique, encode(B("01"), B("0110")), coloring,
+                   vt_code(4, 0)]
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+
+    def test_equal_and_hash_equal_by_value(self):
+        z = B("01")
+        pairs = [
+            (GraphParams(1, 5, 2), GraphParams(s=1, n=5, layer=2)),
+            (CliqueWitness("substring", (B("011"),), _HashableParams(z=z, s=1)),
+             CliqueWitness("substring", (B("011"),), _HashableParams(s=1, z=z))),
+            (encode(z, B("0110")), InsertionEncoding.from_text(encode(z, B("0110")).to_text())),
+            (vt_code(5, 1), make_code(5, 1, list(vt_code(5, 1).words), "vt")),
+        ]
+        for a, b in pairs:
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert GraphParams(1, 5) != GraphParams(1, 5, 0)
+
+    def test_default_clique_params_are_empty_and_read_only(self):
+        witness = CliqueWitness("substring", ())
+        assert witness.params == {} and len(witness.params) == 0
+        with pytest.raises(TypeError):
+            witness.params["z"] = B("0")
+
+    def test_replace_runs_the_code_checks(self):
+        code = vt_code(4, 0)
+        assert code._replace(provenance="x") == make_code(4, 1, code.words, "x")
+        assert code._asdict()["words"] == code.words
+        with pytest.raises(ValueError, match="does not have length 5"):
+            code._replace(n=5)
 
 
 class TestCodeFiles:
