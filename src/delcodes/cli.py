@@ -33,11 +33,9 @@ from .codes import (
     write_code_file,
 )
 from .graph import (
-    BudgetExceededError,
     CapacityError,
     build_graph,
     degree_stats,
-    exact_mis,
     greedy_mis,
     imperfectness_witness,
     induced_cycle,
@@ -115,21 +113,16 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_alpha(args: argparse.Namespace) -> int:
     graph_mod._check_budget(args.budget)  # checked even where no solver reads it
     g = build_graph(args.s, args.n, args.k)
-    exhausted = False
     if args.method == "greedy":
-        result = greedy_mis(g)
+        route, result, exhausted = {}, greedy_mis(g), False
     else:
-        try:
-            result = exact_mis(g, args.budget)
-        except BudgetExceededError as exc:
-            result = exc.best
-            exhausted = True
-            print("budget_exhausted=true")
+        route, result, exhausted = graph_mod._solve(g, args.budget)
+    if exhausted:
+        print("budget_exhausted=true")
     optimal = args.method == "exact" and not exhausted
     print(f"method={args.method}")
-    if args.method == "exact":
-        for key, value in graph_mod._route(g).items():
-            print(f"{key}={value}")
+    for key, value in route.items():
+        print(f"{key}={value}")
     print(f"size={len(result)}")
     print(f"optimal={'true' if optimal else 'false'}")
     for v in sorted(result):
@@ -161,13 +154,19 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     if args.kind == "clique":
+        shape = {"--l": args.l, "--segments": args.segments, "--b": args.b, "--c": args.c}
         if args.z is not None:
+            given = [flag for flag, value in shape.items() if value is not None]
+            if given:
+                raise ValueError(f"--z takes no segment flags; got {'/'.join(given)}")
             witness = substring_clique(BitString(args.z), args.s, args.k)
         else:
-            if None in (args.l, args.segments, args.b, args.c):
+            if None in shape.values():
                 raise ValueError(
                     "--kind clique requires --z, or --l/--segments/--b/--c"
                 )
+            if args.k is not None:
+                raise ValueError("--k restricts a --z clique to a layer; got no --z")
             witness = segment_clique(args.l, args.segments, args.b, args.c)
         # a segment family is a clique for b+c deletions regardless of --s
         s = args.b + args.c if witness.kind == "segment" else args.s

@@ -425,12 +425,16 @@ def read_code_file(path: str) -> Code:
 
     Every error names the path.  One raised by the code's own checks keeps
     its type, so a word length past the cap is a :class:`CapacityError`.
+    Lines end only at a newline (``open`` reads CRLF and a lone CR as one),
+    so a form feed or other separator inside a line makes it invalid.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    if not lines[-1]:  # after a final newline, or of an empty file
+        lines.pop()
     if not lines or lines[0] != FILE_MAGIC:
         raise ValueError(f"{path}: missing '{FILE_MAGIC}' header")
     if len(lines) < 2 or not lines[1].startswith("# "):

@@ -44,12 +44,14 @@ whole-int swaps on 8 x 8 bit tiles, which also give the peel its first
 degree planes).
 
 The exact solver has two engines, chosen by edge density and size in one
-place (``_route``), which also names the search order and symmetries and
-whose choices ``delcodes alpha`` prints.  A complete graph, such as every
-layer within s of either end, needs neither: its route says so and
-``exact_mis`` returns its last vertex, with no search node.  Dense graphs,
-such as every layer for s = 2 up to n = 13, and sparse graphs of at most
-128 vertices are searched in pure Python as a maximum clique of the
+place (``_route``), which also names the search order and symmetries, as
+the items ``delcodes alpha`` prints, and hands the chosen engine its
+inputs: the engines read masks and rows, never the graph.  One driver
+(``_solve``) runs that plan once per solve and checks its answer.  A
+complete graph, such as every layer within s of either end, needs neither
+engine: its route returns its last vertex, with no search node.  Dense
+graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
+at most 128 vertices are searched in pure Python as a maximum clique of the
 complement: Tomita et al.'s MCS, with greedy clique-partition bounds and
 the Re-NUMBER step, in the degeneracy order of the complement below edge
 density 3/10 and by ascending degree from it on.  At its root the search
@@ -175,7 +177,6 @@ class ConfusabilityGraph:
         self._length = n  # of every word; params.n, unchecked, for no words
         self._values = values
         self.adjacency = tuple(adjacency)
-        self._facts: Dict[Callable, object] = {}  # see _once
 
     @functools.cached_property
     def vertices(self) -> Tuple[BitString, ...]:
@@ -364,14 +365,6 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
                                          _deletion_masks(values, n, s)[0])
 
 
-def _once(fact: Callable) -> Callable:
-    """fact(g), computed once per (immutable) graph and kept on it: callers share it."""
-    def known(g: ConfusabilityGraph):
-        return g._facts[fact] if fact in g._facts else g._facts.setdefault(fact, fact(g))
-    return functools.wraps(fact)(known)
-
-
-@_once
 def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
     """Word reversal and complement, by name, as permutations of g's vertex
     indices (i maps to perm[i]), each kept only if it maps every vertex to a
@@ -397,7 +390,6 @@ def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
     return maps
 
 
-@_once
 def _highs_rows(g: ConfusabilityGraph) -> Optional[List[List[int]]]:
     """HiGHS's rows: the supersequence cliques of two or more of g's words,
     as vertex indices in bottom-level order, if :func:`_deletion_masks` on
@@ -497,22 +489,14 @@ def exact_mis(g: ConfusabilityGraph,
     for a large sparse graph whose rows hold.  A complete graph takes
     neither: its last vertex, if any, is returned with no search node.
     ``node_budget``, a nonnegative integer, bounds the search nodes of
-    either engine.  Every answer is checked against ``g.adjacency``, and
-    :class:`RuntimeError` is raised if it is not independent or if HiGHS
-    fails.  If the budget runs out, :class:`BudgetExceededError` is raised
+    either engine.  One :func:`_solve` routes g, runs the engine and checks
+    the answer against ``g.adjacency``: :class:`RuntimeError` is raised if
+    it is not independent or if HiGHS fails.  If the budget runs out, :class:`BudgetExceededError` is raised
     carrying the incumbent: the larger of the engine's set and
     :func:`greedy_mis`, the engine's on a tie.
     """
-    _check_budget(node_budget)  # before scipy, whose option check rejects a non-integer
-    engine = _route(g)["engine"]
-    if engine == "complete":
-        found, exhausted = g._words(range(len(g))[-1:]), False
-    else:
-        found, exhausted = (_highs_mis if engine == "highs" else _clique_search_mis)(g, node_budget)
-    if not verify_independent(g, found):
-        raise RuntimeError("exact solver returned a dependent set")
+    _, found, exhausted = _solve(g, node_budget)
     if exhausted:
-        found = max(found, greedy_mis(g), key=len)
         raise BudgetExceededError(
             f"node budget {node_budget} exhausted; incumbent has {len(found)} vertices",
             found,
@@ -520,33 +504,62 @@ def exact_mis(g: ConfusabilityGraph,
     return found
 
 
-@_once
-def _route(g: ConfusabilityGraph) -> Dict[str, str]:
-    """How :func:`exact_mis` solves g, as the key=value items ``delcodes
-    alpha`` prints: ``{"engine": "complete"}``, ``{"engine": "highs"}``, or
+def _solve(g: ConfusabilityGraph,
+           node_budget: int) -> Tuple[Dict[str, str], Set[BitString], bool]:
+    """(route items, checked set, budget exhausted): g solved once by the
+    engine its route (:func:`_route`) hands its inputs.
+
+    The budget is checked before the graph is routed.  The engine's vertex
+    positions become words once, and :class:`RuntimeError` is raised if
+    they are not independent in g.  When the budget runs out, the set is
+    the larger of the engine's and :func:`greedy_mis`, the engine's on a tie.
+    """
+    _check_budget(node_budget)  # before scipy, whose option check rejects a non-integer
+    items, engine = _route(g)
+    positions, exhausted = engine(node_budget)
+    found = g._words(positions)
+    if not verify_independent(g, found):
+        raise RuntimeError("exact solver returned a dependent set")
+    if exhausted:
+        found = max(found, greedy_mis(g), key=len)
+    return items, found, exhausted
+
+
+def _route(g: ConfusabilityGraph
+           ) -> Tuple[Dict[str, str], Callable[[int], Tuple[Iterable[int], bool]]]:
+    """How :func:`_solve` solves g: the key=value items ``delcodes alpha``
+    prints, and the engine they name, given its inputs, as a function of
+    the node budget returning (vertex positions, budget exhausted).
+
+    The items are ``{"engine": "complete"}``, ``{"engine": "highs"}``, or
     for the clique search its vertex order, "degeneracy" or "ascending", and
     the names of the symmetries it prunes by, comma-separated
-    (:func:`_automorphisms`).
+    (:func:`_automorphisms`).  A complete graph's engine returns its last
+    vertex, if any.  HiGHS is given the vertex count and the rows
+    :func:`_highs_rows` checked; the clique search the adjacency, the
+    vertex order its items name and the symmetries' permutations.
 
     The edge density is edges over vertex pairs, 1 below two vertices.  At
     density 1 the graph is complete, and neither an order nor its
     symmetries are computed.  HiGHS takes a graph of more than 128 vertices
-    and density under 1/5 whose rows hold (:func:`_highs_rows`).  Every
-    check reads g's words and adjacency alone.
+    and density under 1/5 whose rows hold.  Every check reads g's words and
+    adjacency alone, and runs once per call.
     """
-    v = len(g)
-    edges = sum(mask.bit_count() for mask in g.adjacency) // 2
+    adj, v = g.adjacency, len(g)
+    edges = sum(mask.bit_count() for mask in adj) // 2
     density = Fraction(2 * edges, v * (v - 1)) if v > 1 else Fraction(1)
     if density == 1:
-        return {"engine": "complete"}
+        return {"engine": "complete"}, lambda node_budget: (range(v)[-1:], False)
     if (v > _CLIQUE_SEARCH_MAX_SPARSE_VERTICES and density < _CLIQUE_SEARCH_MIN_DENSITY
-            and _highs_rows(g) is not None):
-        return {"engine": "highs"}
-    return {
-        "engine": "clique-search",
-        "order": "degeneracy" if density < _DEGENERACY_ORDER_MAX_DENSITY else "ascending",
-        "symmetry": ",".join(_automorphisms(g)),
-    }
+            and (rows := _highs_rows(g)) is not None):
+        return {"engine": "highs"}, functools.partial(_highs_mis, v, rows)
+    if density < _DEGENERACY_ORDER_MAX_DENSITY:
+        name, order = "degeneracy", _degeneracy_order(adj)
+    else:
+        name, order = "ascending", sorted(range(v), key=lambda i: (adj[i].bit_count(), i))
+    symmetries = _automorphisms(g)
+    return ({"engine": "clique-search", "order": name, "symmetry": ",".join(symmetries)},
+            functools.partial(_clique_search_mis, adj, order, list(symmetries.values())))
 
 
 def _degeneracy_order(adjacency: Sequence[int]) -> List[int]:
@@ -621,25 +634,28 @@ def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
     return taken
 
 
-def _clique_search_mis(g: ConfusabilityGraph,
-                       node_budget: int) -> Tuple[Set[BitString], bool]:
-    """(maximum independent set, budget exhausted) by a bitmask clique search.
+def _clique_search_mis(adjacency: Sequence[int], order: Sequence[int],
+                       symmetries: Iterable[Sequence[int]],
+                       node_budget: int) -> Tuple[List[int], bool]:
+    """(vertex positions of a maximum independent set, budget exhausted) by a
+    bitmask clique search of g, the graph with this symmetric adjacency.
 
     A maximum clique of the complement of g, in the scheme of Tomita et
     al.'s MCS (2010): each node is bounded by a greedy partition of its
     candidates into cliques of g, which no independent set meets twice.
-    The vertices are numbered in the order :func:`_route` names: the
-    degeneracy order of the complement (:func:`_degeneracy_order`) on a
-    sparse graph, ascending degree in g on a dense one.  A graph routed
-    elsewhere, whose route (computed once per graph) names no order, gets
-    the degeneracy order.  The search starts from an empty incumbent.  With
-    k = (incumbent size) - (set size), the first k cliques of a node can
-    only be pruned.  MCS's Re-NUMBER step moves each later vertex into one
-    of them where it can, directly or by moving its one non-neighbor there
-    into a later one of the k, so fewer vertices are branched on.
+    The vertices are numbered in the given order, which :func:`_route`
+    picks: the degeneracy order of the complement (:func:`_degeneracy_order`)
+    on a sparse graph, ascending degree in g on a dense one.  The search
+    starts from an empty incumbent.  With k = (incumbent size) - (set
+    size), the first k cliques of a node can only be pruned.  MCS's
+    Re-NUMBER step moves each later vertex into one of them where it can,
+    directly or by moving its one non-neighbor there into a later one of
+    the k, so fewer vertices are branched on.
 
-    At the root, the node of set size 0, whose subproblem every symmetry of
-    g fixes (:func:`_automorphisms`), the branch on a vertex covers the sets
+    ``symmetries`` are permutations of the vertex positions (i maps to
+    perm[i]) that carry the adjacency onto itself, commuting involutions
+    (:func:`_automorphisms`).  At the root, the node of set size 0, whose
+    subproblem every symmetry fixes, the branch on a vertex covers the sets
     through any of its images, so once it returns the whole orbit leaves
     the candidates and is not branched on (orbital branching, Ostrowski,
     Linderoth, Rossi and Smriglio, Math. Program. 2011).  What is left is a
@@ -654,21 +670,14 @@ def _clique_search_mis(g: ConfusabilityGraph,
     the count passes it.  The root is no node, nor is a vertex skipped with
     an orbit.
     """
-    adj = g.adjacency
-    # a graph routed to HiGHS gets no order, and is sparse; on a complete
-    # graph any order finds alpha = 1
-    if _route(g).get("order", "degeneracy") == "degeneracy":
-        order = _degeneracy_order(adj)
-    else:
-        order = sorted(range(len(adj)), key=lambda i: (adj[i].bit_count(), i))
-    full = (1 << len(adj)) - 1
-    near = _relabel(adj, order)  # the neighbors of order[p], by position
+    full = (1 << len(adjacency)) - 1
+    near = _relabel(adjacency, order)  # the neighbors of order[p], by position
     apart = [full & ~(mask | 1 << p) for p, mask in enumerate(near)]
     position = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
     # The orbit of each position under the symmetries: they are commuting
     # involutions, so one pass per symmetry closes every orbit.
     orbits = [1 << p for p in range(len(order))]
-    for perm in _automorphisms(g).values():
+    for perm in symmetries:
         orbits = [found | orbits[position[perm[i]]] for found, i in zip(orbits, order)]
     best = best_size = 0
 
@@ -744,34 +753,33 @@ def _clique_search_mis(g: ConfusabilityGraph,
             break
         stack.append(expand(*child))
     # a frame is left on the stack only if the budget ran out
-    return g._words(order[p] for p in _iter_bits(best)), bool(stack)
+    return [order[p] for p in _iter_bits(best)], bool(stack)
 
 
-def _highs_mis(g: ConfusabilityGraph,
-               node_budget: int) -> Tuple[Set[BitString], bool]:
-    """(maximum independent set, budget exhausted) by the HiGHS branch and bound.
+def _highs_mis(v: int, cliques: Sequence[Sequence[int]],
+               node_budget: int) -> Tuple[Iterable[int], bool]:
+    """(vertex positions of a maximum independent set, budget exhausted) by
+    the HiGHS branch and bound, on v vertices and these cliques.
 
-    One binary variable per vertex, zero optimality gap.  Each
-    supersequence clique is one constraint: at most one vertex whose
-    deletion ball holds a given length-(n-s) word (:func:`_highs_rows`).
-    :class:`ValueError` is raised if those rows do not hold on g, and
-    :class:`RuntimeError` if HiGHS stops for a reason other than its node limit.
+    One binary variable per vertex, zero optimality gap.  Each clique is one
+    constraint, at most one of its vertices; :func:`_route` gives the
+    supersequence cliques, each the vertices whose deletion balls hold one
+    length-(n-s) word (:func:`_highs_rows`), once it has checked that they
+    cover every edge.  :class:`RuntimeError` is raised if HiGHS stops for a
+    reason other than its node limit.
     """
-    cliques = _highs_rows(g)
-    if cliques is None:
-        raise ValueError("the supersequence cliques of g's parameters are not g's edges")
     if not cliques:
-        return g._words(range(len(g))), False
+        return range(v), False
     from scipy import sparse
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     rows = [r for r, idxs in enumerate(cliques) for _ in idxs]
     cols = [i for idxs in cliques for i in idxs]
-    matrix = sparse.csc_matrix(([1] * len(rows), (rows, cols)), shape=(len(cliques), len(g)))
+    matrix = sparse.csc_matrix(([1] * len(rows), (rows, cols)), shape=(len(cliques), v))
     result = milp(
-        c=[-1] * len(g),
+        c=[-1] * v,
         constraints=LinearConstraint(matrix, -math.inf, 1),
-        integrality=[1] * len(g),
+        integrality=[1] * v,
         bounds=Bounds(0, 1),
         # HiGHS holds its node limit in a 32-bit int; a smaller limit is
         # still within the budget
@@ -782,8 +790,8 @@ def _highs_mis(g: ConfusabilityGraph,
     if result.status != 0 and not exhausted:
         raise RuntimeError(f"exact solver failed: {result.message}")
     if result.x is None:
-        return set(), exhausted
-    return g._words(i for i, x in enumerate(result.x) if x > 0.5), exhausted
+        return [], exhausted
+    return [i for i, x in enumerate(result.x) if x > 0.5], exhausted
 
 
 class CliqueWitness(NamedTuple):

@@ -190,8 +190,14 @@ class TestVerify:
         ("# n=+3 s=1 kind=x\n000\n", "malformed parameter header"),
         ("# n=0_3 s=1 kind=x\n000\n", "malformed parameter header"),
         ("# n=\u0663 s=1 kind=x\n000\n", "malformed parameter header"),
+        # only a newline ends a line; str.splitlines() also breaks at these
+        ("# n=3 s=1 kind=x\n000\x0c111\n", "invalid codeword line"),
+        ("# n=3 s=1 kind=x\n000\x1c111\n", "invalid codeword line"),
+        ("# n=3 s=1 kind=x\n000\x85111\n", "invalid codeword line"),
+        ("# n=3 s=1 kind=x\n000\u2028111\n", "invalid codeword line"),
     ], ids=["negative-s", "field-without-value", "duplicate-codeword", "length-over-63",
-            "repeated-field", "unknown-field", "plus-sign", "underscore", "arabic-indic-digit"])
+            "repeated-field", "unknown-field", "plus-sign", "underscore", "arabic-indic-digit",
+            "form-feed", "file-separator", "next-line", "line-separator"])
     def test_malformed_file_exits_2(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text("# delcode v1\n" + body, encoding="utf-8")
@@ -199,6 +205,14 @@ class TestVerify:
         assert rc == 2
         assert err.startswith("error:") and message in err
         assert "valid=" not in out
+
+    def test_crlf_file_verifies(self, capsys, tmp_path):
+        # open() reads \r\n as one newline
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"# delcode v1\r\n# n=3 s=1 kind=x\r\n000\r\n111\r\n")
+        rc, out, err = run(capsys, "verify", "--file", str(path))
+        assert (rc, err) == (0, "")
+        assert out == "n=3\ns=1\nsize=2\nvalid=true\n"
 
     def test_undecodable_file_exits_2(self, capsys, tmp_path):
         # code files are UTF-8; a Latin-1 byte is an error that names the file
@@ -355,10 +369,29 @@ class TestAlpha:
         opts = dict(zip(argv[::2], argv[1::2]))
         g = build_graph(int(opts["--s"]), int(opts["--n"]),
                         int(opts["--k"]) if "--k" in opts else None)
-        assert route == [f"{key}={value}" for key, value in _route(g).items()]
+        assert route == [f"{key}={value}" for key, value in _route(g)[0].items()]
         _, out, _ = run(capsys, "alpha", *argv, "--method", "greedy")
         assert "order" not in parse_report(out)
         assert "symmetry" not in parse_report(out)
+
+    @pytest.mark.parametrize("argv", [
+        ("--s", "1", "--n", "9", "--k", "3"),
+        ("--s", "1", "--n", "8", "--budget", "0"),
+        ("--s", "2", "--n", "8", "--k", "1"),
+        ("--s", "2", "--n", "10", "--k", "5", "--budget", "0"),
+    ], ids=["clique-search", "highs", "complete", "clique-search-budget-0"])
+    def test_exact_routes_once(self, capsys, monkeypatch, argv):
+        # the printed route is the one the solve took, not a second routing
+        routed = []
+        real = graph_mod._route
+
+        def spy(g):
+            routed.append(g.params)
+            return real(g)
+
+        monkeypatch.setattr(graph_mod, "_route", spy)
+        _, out, _ = run(capsys, "alpha", *argv)
+        assert len(routed) == 1, parse_report(out)["engine"]
 
     def test_layer_restriction(self, capsys):
         rc, out, _ = run(capsys, "alpha", "--s", "1", "--n", "6", "--k", "3")
@@ -525,6 +558,12 @@ class TestWitness:
         (["clique", "--z", "", "--s", "2"], 0, "# kind=substring s=2 n=2\n00\n01\n10\n11\n", ""),
         (["clique", "--s", "1"], 2, "",
          "error: --kind clique requires --z, or --l/--segments/--b/--c\n"),
+        (["clique", "--l", "4", "--segments", "2", "--b", "0", "--c", "1", "--k", "3"], 2, "",
+         "error: --k restricts a --z clique to a layer; got no --z\n"),
+        (["clique", "--z", "0101", "--s", "1", "--l", "4"], 2, "",
+         "error: --z takes no segment flags; got --l\n"),
+        (["clique", "--z", "0101", "--segments", "2", "--b", "0", "--c", "1"], 2, "",
+         "error: --z takes no segment flags; got --segments/--b/--c\n"),
         (["clique", "--l", "4", "--segments", "2", "--b", "1"], 2, "",
          "error: --kind clique requires --z, or --l/--segments/--b/--c\n"),
         (["imperfect", "--s", "1"], 2, "", "error: --kind imperfect requires --n\n"),
@@ -537,7 +576,8 @@ class TestWitness:
          "error: layer weight 9 unreachable from a weight-0 base with 2 insertions\n"),
     ], ids=["substring", "substring-s2", "layer-substring", "segment-b", "segment-c",
             "segment-ignores-s", "cycle-s2", "imperfect-n4", "empty-z-s0", "empty-z-s2",
-            "no-shape", "segment-without-c", "imperfect-without-n", "cycle-s0",
+            "no-shape", "segment-with-k", "z-with-l", "z-with-segment-flags",
+            "segment-without-c", "imperfect-without-n", "cycle-s0",
             "length-cap", "z-length-cap", "layer-size-cap", "unreachable-layer"])
     def test_output_pinned(self, capsys, argv, rc, out, err):
         # exit code, stdout and stderr, byte for byte

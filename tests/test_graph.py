@@ -69,6 +69,19 @@ from conftest import (
 B = BitString
 
 
+def clique_search_inputs(g):
+    """The clique search's inputs as g's route hands them; a graph routed to
+    another engine gets the degeneracy order and its symmetries."""
+    items, engine = _route(g)
+    if items["engine"] == "clique-search":
+        return engine.args
+    return g.adjacency, _degeneracy_order(g.adjacency), list(_automorphisms(g).values())
+
+
+def words_at(g, positions):
+    return {g.vertices[i] for i in positions}
+
+
 def brute_force_mis_size(g):
     # exhaustive bitmask recursion; fine up to a few dozen vertices
     adj = g.adjacency
@@ -540,8 +553,8 @@ class TestExactMis:
 
     def test_non_integer_budget_rejected_before_routing(self, monkeypatch):
         # one error on both engines, before either runs or the route is read
-        assert _route(G(1, 5))["engine"] == "clique-search"
-        assert _route(G(1, 8))["engine"] == "highs"
+        assert _route(G(1, 5))[0]["engine"] == "clique-search"
+        assert _route(G(1, 8))[0]["engine"] == "highs"
 
         def route(g):
             raise AssertionError("routed")
@@ -559,9 +572,9 @@ class TestExactMis:
                 exact_mis(G(1, 4), budget)
 
     def test_one_level_pass_per_graph(self, monkeypatch):
-        # build_graph lists the levels once; the first solve lists them once
-        # more over the graph's own words, to check the rows it gives HiGHS,
-        # and later solves reuse those rows
+        # build_graph lists the levels once; each solve routed to HiGHS lists
+        # them once more over the graph's own words, to check the rows the
+        # route gives HiGHS
         passes = []
         real = graph_module._deletion_masks
 
@@ -573,10 +586,12 @@ class TestExactMis:
         g = build_graph(1, 8)
         assert passes == [(256, 8, 1)]
         passes.clear()
-        assert list(_route(g).items()) == [("engine", "highs")]
         for _ in range(2):
             with pytest.raises(BudgetExceededError):
                 exact_mis(g, 0)
+        assert passes == [(256, 8, 1)] * 2
+        passes.clear()
+        assert list(_route(g)[0].items()) == [("engine", "highs")]
         assert passes == [(256, 8, 1)]
 
     def test_highs_refuses_rows_that_do_not_hold(self):
@@ -585,8 +600,7 @@ class TestExactMis:
         wide = build_graph(2, 4)
         g = ConfusabilityGraph(GraphParams(1, 4), wide.vertices, wide.adjacency)
         assert _highs_rows(g) is None
-        with pytest.raises(ValueError, match="not g's edges"):
-            _highs_mis(g, DEFAULT_NODE_BUDGET)
+        assert _route(g)[0]["engine"] == "clique-search"
         assert _highs_rows(G(1, 4)) is not None
 
     def test_graph_not_matching_its_parameters_rejected(self, monkeypatch):
@@ -604,7 +618,7 @@ class TestExactMis:
         g = G(0, 8)
         h = ConfusabilityGraph(GraphParams(s, n), g.vertices, g.adjacency)
         assert _highs_rows(h) is None
-        assert _route(h)["engine"] == "clique-search"
+        assert _route(h)[0]["engine"] == "clique-search"
         assert exact_mis(h) == set(g.vertices)
 
     def test_hand_built_sparse_graph_takes_the_clique_search(self):
@@ -615,7 +629,7 @@ class TestExactMis:
         keep = (1 << 16) - 1
         adj = tuple(mask & keep if i < 16 else 0 for i, mask in enumerate(g.adjacency))
         h = ConfusabilityGraph(g.params, g.vertices, adj)
-        assert _route(h)["engine"] == "clique-search"
+        assert _route(h)[0]["engine"] == "clique-search"
         out = exact_mis(h)
         assert verify_independent(h, out) and len(out) == 244
 
@@ -653,7 +667,8 @@ class TestExactMis:
             return SimpleNamespace(status=0, message="captured", x=None)
 
         monkeypatch.setattr(scipy.optimize, "milp", capture)
-        _highs_mis(G(1, 8), budget)
+        g = G(1, 8)
+        _highs_mis(len(g), _highs_rows(g), budget)
         assert seen == [node_limit]
 
     def test_highs_incumbent_is_at_least_greedy(self, monkeypatch):
@@ -692,7 +707,8 @@ class TestExactMis:
             return SimpleNamespace(status=0, message="captured", x=None)
 
         monkeypatch.setattr(scipy.optimize, "milp", capture)
-        _highs_mis(G(*params), 0)
+        g = G(*params)
+        _highs_mis(len(g), _highs_rows(g), 0)
         (matrix,) = seen
         rows = [sorted(int(i) for i in matrix.indices[a:b])
                 for a, b in zip(matrix.indptr, matrix.indptr[1:])]
@@ -712,10 +728,11 @@ class TestExactMis:
         params += [(1, 7, None), (1, 9, 4), (1, 10, 3), (1, 9, 3)]
         for s, n, k in params:
             g = G(s, n, k)
-            by_clique, exhausted = _clique_search_mis(g, DEFAULT_NODE_BUDGET)
-            assert not exhausted and verify_independent(g, by_clique)
-            by_highs, exhausted = _highs_mis(g, DEFAULT_NODE_BUDGET)
-            assert not exhausted and verify_independent(g, by_highs)
+            by_clique, exhausted = _clique_search_mis(*clique_search_inputs(g),
+                                                      DEFAULT_NODE_BUDGET)
+            assert not exhausted and verify_independent(g, words_at(g, by_clique))
+            by_highs, exhausted = _highs_mis(len(g), _highs_rows(g), DEFAULT_NODE_BUDGET)
+            assert not exhausted and verify_independent(g, words_at(g, by_highs))
             assert len(by_clique) == len(by_highs), (s, n, k)
 
     def test_clique_search_matches_brute_force(self):
@@ -724,8 +741,8 @@ class TestExactMis:
             g = G(s, n, k)
             v, edges = len(g), degree_stats(g)[2]
             assert 10 * edges >= v * (v - 1), (s, n, k)  # dense: exact_mis runs this engine
-            out, exhausted = _clique_search_mis(g, DEFAULT_NODE_BUDGET)
-            assert not exhausted and verify_independent(g, out)
+            out, exhausted = _clique_search_mis(*clique_search_inputs(g), DEFAULT_NODE_BUDGET)
+            assert not exhausted and verify_independent(g, words_at(g, out))
             assert len(out) == brute_force_mis_size(g), (s, n, k)
 
     def test_dense_and_edgeless_graphs_leave_scipy_unimported(self):
@@ -755,12 +772,12 @@ class TestExactMis:
     def test_engine_routing(self):
         # HiGHS only for a sparse graph (density below 1/5) of more than 128
         # vertices; the edgeless L(0, 10) returns before scipy is imported
-        assert _route(G(2, 8, 4))["engine"] == "clique-search"  # dense
-        assert _route(G(1, 7))["engine"] == "clique-search"  # sparse, 128 vertices
-        assert _route(G(1, 10, 3))["engine"] == "clique-search"  # sparse, 120 vertices
+        assert _route(G(2, 8, 4))[0]["engine"] == "clique-search"  # dense
+        assert _route(G(1, 7))[0]["engine"] == "clique-search"  # sparse, 128 vertices
+        assert _route(G(1, 10, 3))[0]["engine"] == "clique-search"  # sparse, 120 vertices
         # a HiGHS route names no order and no symmetry
-        assert list(_route(G(1, 8)).items()) == [("engine", "highs")]  # 0.118, 256 vertices
-        assert list(_route(G(0, 10)).items()) == [("engine", "highs")]
+        assert list(_route(G(1, 8))[0].items()) == [("engine", "highs")]  # 0.118, 256 vertices
+        assert list(_route(G(0, 10))[0].items()) == [("engine", "highs")]
 
     def test_complete_graphs_answered_by_their_route(self, monkeypatch):
         # every complete graph with n <= 10 (full graphs n <= 9), of 0, 1 or
@@ -782,34 +799,35 @@ class TestExactMis:
         monkeypatch.setattr(graph_module, "_automorphisms", fail)
         monkeypatch.setattr(graph_module, "_clique_search_mis", fail)
         for g in complete:
-            assert list(_route(g).items()) == [("engine", "complete")], g.params
+            assert list(_route(g)[0].items()) == [("engine", "complete")], g.params
             assert exact_mis(g, 0) == {g.vertices[-1]}, g.params
         edgeless = ConfusabilityGraph(GraphParams(0, 0), (), ())
-        assert _route(edgeless) == {"engine": "complete"}
+        assert _route(edgeless)[0] == {"engine": "complete"}
         assert exact_mis(edgeless, 0) == set()
 
-    def test_route_runs_once_per_graph(self, monkeypatch):
-        # exact_mis and the clique search both read the route; the density
-        # is summed once per graph, whichever engine runs
+    def test_route_runs_once_per_solve(self, monkeypatch):
+        # _solve is the route's one caller: each exact_mis call routes the
+        # graph once, whichever engine the route names, and a second solve
+        # of the same graph routes it again
         routed = []
-        real = graph_module._route.__wrapped__
+        real = graph_module._route
 
         def spy(g):
-            routed.append(g.params)
-            return real(g)
+            items, engine = real(g)
+            routed.append(items["engine"])
+            return items, engine
 
-        monkeypatch.setattr(graph_module, "_route", graph_module._once(spy))
-        for params in [(1, 7, None), (2, 8, 4), (2, 8, 1), (1, 8, None)]:
+        monkeypatch.setattr(graph_module, "_route", spy)
+        for params, engine in [((1, 7, None), "clique-search"), ((2, 8, 4), "clique-search"),
+                               ((2, 8, 1), "complete"), ((1, 8, None), "highs")]:
             g = build_graph(*params)
             for _ in range(2):
                 try:
                     exact_mis(g, 0)
                 except BudgetExceededError:
                     pass
-            assert routed == [g.params], params
-            routed.clear()
-        h = build_graph(1, 6)
-        assert _route(h) is _route(h)
+                assert routed == [engine], params
+                routed.clear()
 
     def test_clique_order_routing(self):
         # degeneracy order below density 3/10, ascending degree from it on
@@ -822,7 +840,7 @@ class TestExactMis:
             ((2, 11, 5), "ascending", "reversal"),  # 0.390
             ((2, 8, 4), "ascending", "reversal,complement"),  # 0.722
         ]:
-            assert list(_route(G(*params)).items()) == [
+            assert list(_route(G(*params))[0].items()) == [
                 ("engine", "clique-search"), ("order", order), ("symmetry", symmetry)], params
 
     def test_small_sparse_graph_skips_highs(self, monkeypatch):
@@ -902,15 +920,16 @@ class TestExactMis:
         searched = 0
         for s, n, k in params:
             g = G(s, n, k)
-            if _route(g)["engine"] != "clique-search":
+            if _route(g)[0]["engine"] != "clique-search":
                 continue
             searched += 1
             out = exact_mis(g)
             plain = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
             with monkeypatch.context() as patch:
                 patch.setattr(graph_module, "_automorphisms", lambda g: {})
-                assert _route(plain)["symmetry"] == ""
-                by_plain, exhausted = _clique_search_mis(plain, DEFAULT_NODE_BUDGET)
+                assert _route(plain)[0]["symmetry"] == ""
+                by_plain, exhausted = _clique_search_mis(*clique_search_inputs(plain),
+                                                         DEFAULT_NODE_BUDGET)
             assert not exhausted and len(out) == len(by_plain), (s, n, k)
         assert searched == 130  # the 421 complete graphs take their own route
 
@@ -921,13 +940,13 @@ class TestExactMis:
                 for k in [None] + list(range(n + 1)):
                     g = G(s, n, k)
                     copy = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
-                    assert _route(copy) == _route(g), (s, n, k)
+                    assert _route(copy)[0] == _route(g)[0], (s, n, k)
 
     def test_hand_built_copy_of_sparse_graph_takes_highs(self):
         # L(1, 8) rebuilt by hand: its rows hold, so HiGHS proves alpha 30
         g = G(1, 8)
         copy = ConfusabilityGraph(g.params, g.vertices, g.adjacency)
-        assert list(_route(copy).items()) == [("engine", "highs")]
+        assert list(_route(copy)[0].items()) == [("engine", "highs")]
         out = exact_mis(copy, node_budget=10**5)
         assert verify_independent(copy, out) and len(out) == 30
 
@@ -937,7 +956,7 @@ class TestExactMis:
         g = G(1, 8)
         order = list(reversed(range(len(g))))
         copy = ConfusabilityGraph(g.params, g.vertices[::-1], tuple(_relabel(g.adjacency, order)))
-        assert list(_route(copy).items()) == [("engine", "highs")]
+        assert list(_route(copy)[0].items()) == [("engine", "highs")]
         assert len(_highs_rows(copy)) == 128
 
     def test_hand_built_graph_gets_no_symmetry(self):
