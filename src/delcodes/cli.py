@@ -171,12 +171,25 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         # a segment family is a clique for b+c deletions regardless of --s
         s = args.b + args.c if witness.kind == "segment" else args.s
         kind, vertices = witness.kind, witness.vertices
-    elif args.kind == "cycle":
-        kind, s, vertices = "cycle", args.s, induced_cycle(args.s, args.cycle_len)
-    else:  # imperfect
-        if args.n is None:
-            raise ValueError("--kind imperfect requires --n")
-        kind, s, vertices = "imperfect", args.s, imperfectness_witness(args.s, args.n)
+    else:
+        # neither kind reads a clique's flags; a cycle has no --n, and the
+        # imperfect witness is a 5-cycle of its own
+        unread = {"--z": args.z, "--k": args.k, "--l": args.l, "--segments": args.segments,
+                  "--b": args.b, "--c": args.c}
+        if args.kind == "cycle":
+            unread["--n"] = args.n
+        else:
+            unread["--cycle-len"] = args.cycle_len
+        given = [flag for flag, value in unread.items() if value is not None]
+        if given:
+            raise ValueError(f"--kind {args.kind} takes no {'/'.join(given)}")
+        if args.kind == "cycle":
+            cycle_len = 5 if args.cycle_len is None else args.cycle_len
+            kind, s, vertices = "cycle", args.s, induced_cycle(args.s, cycle_len)
+        else:  # imperfect
+            if args.n is None:
+                raise ValueError("--kind imperfect requires --n")
+            kind, s, vertices = "imperfect", args.s, imperfectness_witness(args.s, args.n)
     print(f"# kind={kind} s={s} n={len(vertices[0])}")
     for v in vertices:
         print(v)
@@ -275,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--segments", type=int, help="segment count for a segment clique")
     p.add_argument("--b", type=int)
     p.add_argument("--c", type=int)
-    p.add_argument("--cycle-len", type=int, default=5)
+    p.add_argument("--cycle-len", type=int, help="cycle length for --kind cycle (default 5)")
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("selftest", help="run cross-module invariant checks")

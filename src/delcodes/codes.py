@@ -426,7 +426,9 @@ def read_code_file(path: str) -> Code:
     Every error names the path.  One raised by the code's own checks keeps
     its type, so a word length past the cap is a :class:`CapacityError`.
     Lines end only at a newline (``open`` reads CRLF and a lone CR as one),
-    so a form feed or other separator inside a line makes it invalid.
+    so a form feed or other separator inside a line makes it invalid.  The
+    header's fields are parted by single spaces, so other whitespace there
+    makes it malformed.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -440,13 +442,17 @@ def read_code_file(path: str) -> Code:
     if len(lines) < 2 or not lines[1].startswith("# "):
         raise ValueError(f"{path}: missing parameter header line")
     try:
-        pairs = [part.split("=", 1) for part in lines[1][2:].split()]
-        fields = dict(pairs)  # ValueError for a field without "="
+        # fields are parted by single spaces, as written; str.split() would
+        # also part them at tabs, form feeds and other Unicode whitespace
+        pairs = [part.split("=", 1) for part in lines[1][2:].split(" ")]
+        fields = dict(pairs)  # ValueError for a field without "=", or an empty one
         if sorted(key for key, _ in pairs) != ["kind", "n", "s"]:
             raise ValueError("want n, s and kind, each once")
         n = _decimal(fields["n"])
         s = _decimal(fields["s"])
         kind = fields["kind"]
+        if any(ch.isspace() for ch in kind):  # write_code_file refuses it too
+            raise ValueError(f"code kind {kind!r} holds whitespace")
     except ValueError as exc:
         raise ValueError(f"{path}: malformed parameter header") from exc
     first_line: Dict[str, int] = {}

@@ -23,14 +23,16 @@ level next to it, with no Python step per word (``_full_deletion_masks``).
 Layers and hand-built vertex sets keep the per-word pass: on lists by
 value each missing word costs as much as a vertex, so the slice pass was
 no faster on most layers and 1.8x slower on L(2,16) layer 8 (2-core
-x86-64 host, CPython 3.11).  The pass returns the adjacency and the
-bottom level, whose cliques of two or more are the HiGHS model's rows,
-read once the same pass over a graph's own words has given its adjacency
-(``_highs_rows``).  Code
-verification and confusable sets list one word's ball at a time by the
-same single deletions, without masks (:mod:`delcodes.bitstring`'s
-``_deletion_ball``).  The equivalence with the pairwise-distance
-definition is exercised by the test suite.
+x86-64 host, CPython 3.11).  A layer within s of either end needs no
+pass: it is one supersequence clique, of 0^(n-s) when its weight is at
+most s and of 1^(n-s) when n minus its weight is, so :func:`build_graph`
+gives it the complete adjacency directly.  The pass returns the adjacency
+and the bottom level, whose cliques of two or more are the HiGHS model's
+rows, read once the same pass over a graph's own words has given its
+adjacency (``_highs_rows``).  Code verification and confusable sets list
+one word's ball at a time by the same single deletions, without masks
+(:mod:`delcodes.bitstring`'s ``_deletion_ball``).  The equivalence with
+the pairwise-distance definition is exercised by the test suite.
 
 One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
 minimum degree and the degeneracy order of the exact search by maximum
@@ -56,11 +58,14 @@ complement: Tomita et al.'s MCS, with greedy clique-partition bounds and
 the Re-NUMBER step, in the degeneracy order of the complement below edge
 density 3/10 and by ascending degree from it on.  At its root the search
 branches on one vertex per orbit of the graph's symmetries among word
-reversal and complement that carry the adjacency onto itself.  Larger
-sparse graphs go to HiGHS through scipy, with those rows, if they hold;
-scipy is imported only then.  The node budget counts the search nodes of
-whichever engine runs; when it runs out, the incumbent is the larger of
-the engine's set and the greedy set.
+reversal and complement that carry the adjacency onto itself: both maps
+are made from the whole word list at once, and each is still checked
+against the adjacency on every solve.  Larger sparse graphs go to HiGHS
+through scipy, with those rows, if they hold; scipy is imported only then.
+The node budget counts the search nodes of whichever engine runs; when it
+runs out, the incumbent is the larger of the engine's set and the greedy
+set.  The engine's vertex positions are checked against the adjacency
+before any word is made.
 """
 
 from __future__ import annotations
@@ -69,6 +74,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 from fractions import Fraction
 from types import MappingProxyType
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
@@ -112,6 +118,17 @@ _CLIQUE_SEARCH_MAX_SPARSE_VERTICES = 128
 # above 1/5 the degeneracy order still wins: L(1,9) layer 3 (density 0.207)
 # needs 444 nodes instead of 5,398.  L(2,11) layer 5 (0.39) stays ascending.
 _DEGENERACY_ORDER_MAX_DENSITY = Fraction(3, 10)
+
+
+def _byte_reversal() -> bytes:
+    """The translation table whose byte b is b with its 8 bits reversed."""
+    table = [0]
+    for _ in range(8):
+        table = [2 * b for b in table] + [2 * b + 1 for b in table]
+    return bytes(table)
+
+
+_BYTE_REVERSAL = _byte_reversal()
 
 
 class BudgetExceededError(RuntimeError):
@@ -353,7 +370,12 @@ def _run_head_slices(m: int) -> Iterator[Tuple[slice, slice]]:
 
 def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGraph:
     """The deletion-distance graph for (s, n), optionally one weight layer,
-    with edges from :func:`_deletion_masks`."""
+    with edges from :func:`_deletion_masks`.
+
+    A layer within s of either end, min(layer, n - layer) <= s, is one
+    supersequence clique and takes its complete adjacency with no pass:
+    each of its words holds 0^(n-s) when layer <= s, and 1^(n-s) when
+    n - layer <= s."""
     _check_size(n, s)
     _check_layer(n, layer)
     _check_length(n)  # before comb(n, layer), which stalls on n = 10**6
@@ -361,8 +383,18 @@ def build_graph(s: int, n: int, layer: Optional[int] = None) -> ConfusabilityGra
     if size > MAX_VERTICES:
         raise CapacityError(f"graph limited to {MAX_VERTICES} vertices, got {size}")
     values = _word_values(n, layer)
-    return ConfusabilityGraph._of_values(GraphParams(s, n, layer), n, values,
-                                         _deletion_masks(values, n, s)[0])
+    if layer is not None and min(layer, n - layer) <= s:
+        adjacency: Sequence[int] = _complete_masks(size)
+    else:
+        adjacency = _deletion_masks(values, n, s)[0]
+    return ConfusabilityGraph._of_values(GraphParams(s, n, layer), n, values, adjacency)
+
+
+def _complete_masks(v: int) -> List[int]:
+    """The adjacency masks of the complete graph on v vertices."""
+    full = (1 << v) - 1
+    return list(map(operator.xor, itertools.repeat(full, v),
+                    map(operator.lshift, itertools.repeat(1), range(v))))
 
 
 def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
@@ -371,20 +403,23 @@ def _automorphisms(g: ConfusabilityGraph) -> Dict[str, List[int]]:
     vertex and the adjacency onto itself (:func:`_relabel`).  Both commute
     with deleting symbols, so :func:`build_graph` graphs keep reversal, and
     complement on the full graph and the middle layer: a group of order <= 4.
+
+    Each map's images are made from the whole word list at once: reversal
+    by one pack, one byte translation (``_BYTE_REVERSAL``) and one unpack,
+    complement by one XOR per word in a ``map``.
     """
     values, n, index = g._values, g._length, g._index
-    table = [0]  # table[b] is byte b with its bits reversed
-    for _ in range(8):
-        table = [2 * b for b in table] + [2 * b + 1 for b in table]
-    flip = bytes(table)
-
-    def reverse(v: int) -> int:
-        # v's 8 bytes (n <= 63), low first, each reversed, read high first
-        return int.from_bytes(v.to_bytes(8, "little").translate(flip), "big") >> 64 - n
-
+    v = len(values)
+    # every word's 8 bytes (n <= 63), low first, each reversed, read high first
+    reversed_bytes = struct.pack(f"<{v}Q", *values).translate(_BYTE_REVERSAL)
+    images = {
+        "reversal": map(operator.rshift, struct.unpack(f">{v}Q", reversed_bytes),
+                        itertools.repeat(64 - n)),
+        "complement": map(operator.xor, values, itertools.repeat((1 << n) - 1)),
+    }
     maps = {}
-    for name, op in (("reversal", reverse), ("complement", lambda v: v ^ (1 << n) - 1)):
-        perm = [index.get(op(v), -1) for v in values]
+    for name, image in images.items():
+        perm = list(map(index.get, image, itertools.repeat(-1)))
         if -1 not in perm and tuple(_relabel(g.adjacency, perm)) == g.adjacency:
             maps[name] = perm
     return maps
@@ -430,11 +465,14 @@ def layer_avg_degree_bound(s: int, n: int, k: int) -> Fraction:
 
 def verify_independent(g: ConfusabilityGraph, vs: Iterable[BitString]) -> bool:
     """True iff no edge of g joins two members of vs."""
-    idxs = [g.index_of(v) for v in vs]
-    mask = 0
-    for i in idxs:
-        mask |= 1 << i
-    return all(g.adjacency[i] & mask == 0 for i in idxs)
+    return _independent(g.adjacency, [g.index_of(v) for v in vs])
+
+
+def _independent(adjacency: Sequence[int], positions: Sequence[int]) -> bool:
+    """True iff no edge of this adjacency joins two of these vertex positions."""
+    mask = functools.reduce(operator.or_, map(operator.lshift, itertools.repeat(1), positions), 0)
+    return not any(map(operator.and_, map(adjacency.__getitem__, positions),
+                       itertools.repeat(mask)))
 
 
 def verify_coloring(g: ConfusabilityGraph, coloring: Mapping[BitString, int]) -> bool:
@@ -510,23 +548,25 @@ def _solve(g: ConfusabilityGraph,
     engine its route (:func:`_route`) hands its inputs.
 
     The budget is checked before the graph is routed.  The engine's vertex
-    positions become words once, and :class:`RuntimeError` is raised if
-    they are not independent in g.  When the budget runs out, the set is
-    the larger of the engine's and :func:`greedy_mis`, the engine's on a tie.
+    positions are checked against ``g.adjacency`` before any word is made,
+    and :class:`RuntimeError` is raised if they are not independent; then
+    they become words once, with no lookup by word.  When the budget runs
+    out, the set is the larger of the engine's and :func:`greedy_mis`, the
+    engine's on a tie.
     """
     _check_budget(node_budget)  # before scipy, whose option check rejects a non-integer
     items, engine = _route(g)
     positions, exhausted = engine(node_budget)
-    found = g._words(positions)
-    if not verify_independent(g, found):
+    if not _independent(g.adjacency, positions):
         raise RuntimeError("exact solver returned a dependent set")
+    found = g._words(positions)
     if exhausted:
         found = max(found, greedy_mis(g), key=len)
     return items, found, exhausted
 
 
 def _route(g: ConfusabilityGraph
-           ) -> Tuple[Dict[str, str], Callable[[int], Tuple[Iterable[int], bool]]]:
+           ) -> Tuple[Dict[str, str], Callable[[int], Tuple[Sequence[int], bool]]]:
     """How :func:`_solve` solves g: the key=value items ``delcodes alpha``
     prints, and the engine they name, given its inputs, as a function of
     the node budget returning (vertex positions, budget exhausted).
@@ -757,7 +797,7 @@ def _clique_search_mis(adjacency: Sequence[int], order: Sequence[int],
 
 
 def _highs_mis(v: int, cliques: Sequence[Sequence[int]],
-               node_budget: int) -> Tuple[Iterable[int], bool]:
+               node_budget: int) -> Tuple[Sequence[int], bool]:
     """(vertex positions of a maximum independent set, budget exhausted) by
     the HiGHS branch and bound, on v vertices and these cliques.
 

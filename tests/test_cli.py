@@ -195,9 +195,18 @@ class TestVerify:
         ("# n=3 s=1 kind=x\n000\x1c111\n", "invalid codeword line"),
         ("# n=3 s=1 kind=x\n000\x85111\n", "invalid codeword line"),
         ("# n=3 s=1 kind=x\n000\u2028111\n", "invalid codeword line"),
+        # the header's fields are parted by single spaces; str.split() also
+        # parts them at these
+        ("# n=3\x1cs=1\x1dkind=x\n000\n", "malformed parameter header"),
+        ("# n=3\ts=1 kind=x\n000\n", "malformed parameter header"),
+        ("# n=3  s=1 kind=x\n000\n", "malformed parameter header"),
+        ("# n=3 s=1 kind=x \n000\n", "malformed parameter header"),
+        ("# n=3 s=1 kind=x\u2028y\n000\n", "malformed parameter header"),
     ], ids=["negative-s", "field-without-value", "duplicate-codeword", "length-over-63",
             "repeated-field", "unknown-field", "plus-sign", "underscore", "arabic-indic-digit",
-            "form-feed", "file-separator", "next-line", "line-separator"])
+            "form-feed", "file-separator", "next-line", "line-separator",
+            "header-separators", "header-tab", "header-double-space", "header-trailing-space",
+            "header-kind-whitespace"])
     def test_malformed_file_exits_2(self, capsys, tmp_path, body, message):
         path = tmp_path / "bad.txt"
         path.write_text("# delcode v1\n" + body, encoding="utf-8")
@@ -574,11 +583,28 @@ class TestWitness:
          "error: supersequences (n=10, s=20, r=9) limited to 2^22 words, got 14307150\n"),
         (["clique", "--z", "0", "--s", "2", "--k", "9"], 2, "",
          "error: layer weight 9 unreachable from a weight-0 base with 2 insertions\n"),
+        # a cycle or imperfect witness refuses every flag it does not read
+        (["cycle", "--s", "1", "--z", "0101", "--l", "4", "--k", "2"], 2, "",
+         "error: --kind cycle takes no --z/--k/--l\n"),
+        (["cycle", "--segments", "2", "--b", "0", "--c", "1", "--n", "4"], 2, "",
+         "error: --kind cycle takes no --segments/--b/--c/--n\n"),
+        (["cycle", "--z", ""], 2, "", "error: --kind cycle takes no --z\n"),
+        (["imperfect", "--s", "1", "--n", "5", "--cycle-len", "7", "--z", "01"], 2, "",
+         "error: --kind imperfect takes no --z/--cycle-len\n"),
+        (["imperfect", "--n", "5", "--cycle-len", "5"], 2, "",
+         "error: --kind imperfect takes no --cycle-len\n"),
+        (["imperfect", "--n", "5", "--k", "2", "--l", "4", "--segments", "2", "--b", "0",
+          "--c", "1"], 2, "", "error: --kind imperfect takes no --k/--l/--segments/--b/--c\n"),
+        (["cycle", "--s", "1", "--cycle-len", "5"], 0,
+         "# kind=cycle s=1 n=4\n1100\n0110\n0011\n0001\n1000\n", ""),
     ], ids=["substring", "substring-s2", "layer-substring", "segment-b", "segment-c",
             "segment-ignores-s", "cycle-s2", "imperfect-n4", "empty-z-s0", "empty-z-s2",
             "no-shape", "segment-with-k", "z-with-l", "z-with-segment-flags",
             "segment-without-c", "imperfect-without-n", "cycle-s0",
-            "length-cap", "z-length-cap", "layer-size-cap", "unreachable-layer"])
+            "length-cap", "z-length-cap", "layer-size-cap", "unreachable-layer",
+            "cycle-with-clique-flags", "cycle-with-n", "cycle-with-empty-z",
+            "imperfect-with-cycle-len", "imperfect-with-default-cycle-len",
+            "imperfect-with-segment-flags", "cycle-default-len-given"])
     def test_output_pinned(self, capsys, argv, rc, out, err):
         # exit code, stdout and stderr, byte for byte
         assert run(capsys, "witness", "--kind", *argv) == (rc, out, err)

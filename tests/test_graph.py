@@ -47,6 +47,7 @@ from delcodes.graph import (
     _automorphisms,
     _clique_search_mis,
     _degeneracy_order,
+    _deletion_masks,
     _highs_mis,
     _highs_rows,
     _iter_bits,
@@ -153,6 +154,22 @@ def rescan_peel(adjacency, fewest):
         taken.append(i)
         left -= {i} | ({w for w in left if adjacency[i] >> w & 1} if fewest else set())
     return taken
+
+
+def reference_automorphisms(g):
+    """Reversal and complement made on str words: each kept, as positions,
+    if it maps every word to a word and every edge to an edge."""
+    words = [str(x) for x in g.vertices]
+    position = {w: i for i, w in enumerate(words)}
+    maps = {}
+    for name, op in (("reversal", lambda w: w[::-1]),
+                     ("complement", lambda w: w.translate(str.maketrans("01", "10")))):
+        if all(op(w) in position for w in words):
+            perm = [position[op(w)] for w in words]
+            if all(g.adjacency[perm[i]] == sum(1 << perm[j] for j in _iter_bits(mask))
+                   for i, mask in enumerate(g.adjacency)):
+                maps[name] = perm
+    return maps
 
 
 class TestBuildGraph:
@@ -326,6 +343,20 @@ class TestBuildGraph:
                     g = build_graph(s, n, layer)
                     values = [v.value for v in g.vertices]
                     assert list(g.adjacency) == grouped_adjacency(values, n, s), (s, n, layer)
+
+    def test_complete_layers_match_the_level_pass(self):
+        # a layer within s of either end is one supersequence clique, of
+        # 0^(n-s) or 1^(n-s): the complete adjacency it gets with no pass is
+        # the pass's, for every such layer with n <= 12
+        checked = 0
+        for n in range(13):
+            for s in range(n + 1):
+                for k in range(n + 1):
+                    if min(k, n - k) <= s:
+                        g = build_graph(s, n, k)
+                        assert g.adjacency == _deletion_masks(g._values, n, s)[0], (s, n, k)
+                        checked += 1
+        assert checked == 658
 
     @pytest.mark.parametrize("params, stats, adjacency, greedy", SCAN_GRAPHS,
                              ids=[str(p[0]) for p in SCAN_GRAPHS])
@@ -593,6 +624,12 @@ class TestExactMis:
         passes.clear()
         assert list(_route(g)[0].items()) == [("engine", "highs")]
         assert passes == [(256, 8, 1)]
+        # a layer within s of either end is complete: built and solved with no pass
+        passes.clear()
+        g = build_graph(3, 8, 2)
+        assert 2 * degree_stats(g)[2] == len(g) * (len(g) - 1) == 28 * 27
+        assert exact_mis(g) == {B("11000000")}
+        assert passes == []
 
     def test_highs_refuses_rows_that_do_not_hold(self):
         # L(2, 4) labelled as L(1, 4): the supersequence cliques of s = 1
@@ -632,6 +669,29 @@ class TestExactMis:
         assert _route(h)[0]["engine"] == "clique-search"
         out = exact_mis(h)
         assert verify_independent(h, out) and len(out) == 244
+
+    @pytest.mark.parametrize("exhausted", [False, True])
+    def test_dependent_clique_search_set_rejected(self, monkeypatch, exhausted):
+        # the engine's positions are checked against the adjacency, before
+        # any word is made, whether or not its budget ran out
+        g = build_graph(2, 8, 4)
+        pair = [0, next(_iter_bits(g.adjacency[0]))]
+        monkeypatch.setattr(graph_module, "_clique_search_mis",
+                            lambda *args: (pair, exhausted))
+        made = []
+        real = B.from_value
+        monkeypatch.setattr(B, "from_value", lambda value, length: made.append(value)
+                            or real(value, length))
+        with pytest.raises(RuntimeError, match="dependent") as info:
+            exact_mis(g)
+        assert not isinstance(info.value, BudgetExceededError)
+        assert made == []
+
+    def test_complete_solve_builds_no_word_index(self):
+        # a solve looks no word up: the positions it checked become its words
+        g = build_graph(3, 8, 2)
+        assert exact_mis(g, 0) == {B("11000000")}
+        assert "_index" not in vars(g) and "vertices" not in vars(g)
 
     @pytest.mark.parametrize("status", [2, 3, 4])
     def test_solver_failure_is_not_budget_exhaustion(self, monkeypatch, status):
@@ -901,6 +961,42 @@ class TestExactMis:
                         for i, mask in enumerate(g.adjacency):
                             moved = sum(1 << perm[j] for j in _iter_bits(mask))
                             assert g.adjacency[perm[i]] == moved, (s, n, k, name)
+
+    def test_automorphisms_match_string_reference(self):
+        # every graph with n <= 9, and three hand-built copies of each: its
+        # words shuffled with the adjacency relabelled to match, which keeps
+        # both maps; the words of one weight dropped from a full graph or one
+        # word dropped from a layer, which breaks what maps onto them; and
+        # each vertex's edges moved to the next vertex, which keeps the words
+        # but not always the edges
+        rng = random.Random(9)
+        kept = dict.fromkeys(["built", "shuffled", "cut", "rewired"], 0)
+        for n in range(10):
+            for s in range(n + 1):
+                for k in [None] + list(range(n + 1)):
+                    g = G(s, n, k)
+                    order = rng.sample(range(len(g)), len(g))
+                    shuffled = ConfusabilityGraph(g.params, [g.vertices[i] for i in order],
+                                                  _relabel(g.adjacency, order))
+                    keep = [i for i, x in enumerate(g.vertices)
+                            if (weight(x) != n // 2 if k is None else i != len(g) // 3)]
+                    mask = sum(1 << i for i in keep)
+                    position = {i: p for p, i in enumerate(keep)}
+                    cut = ConfusabilityGraph(g.params, [g.vertices[i] for i in keep], [
+                        sum(1 << position[j] for j in _iter_bits(g.adjacency[i] & mask))
+                        for i in keep])
+                    v = len(g)
+                    rewired = ConfusabilityGraph(g.params, g.vertices, [
+                        sum(1 << (j + 1) % v for j in _iter_bits(g.adjacency[(i - 1) % v]))
+                        for i in range(v)])
+                    for name, h in (("built", g), ("shuffled", shuffled), ("cut", cut),
+                                    ("rewired", rewired)):
+                        maps = _automorphisms(h)
+                        assert maps == reference_automorphisms(h), (s, n, k, name)
+                        kept[name] += len(maps)
+        # 440 reversals and 80 complements; shuffling keeps them all, cutting
+        # breaks 150 and rewiring 112
+        assert kept == {"built": 520, "shuffled": 520, "cut": 370, "rewired": 408}
 
     def test_automorphisms_map_words(self):
         g = G(2, 6, 3)
