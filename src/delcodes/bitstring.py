@@ -8,9 +8,10 @@ values are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Iterable, Iterator, List, Optional, Sequence, Set, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 MAX_LENGTH = 63
 # Largest n whose words are enumerated all at once (2^22 of them); 2^22 also
@@ -19,6 +20,8 @@ MAX_LENGTH = 63
 # the balls the exact solver lists to check a graph's rows (Levenshtein's
 # bound, summed over the words).
 MAX_LAYER_N = 22
+# Longest word whose single deletions come from a table (see _single_deletions).
+_DELETION_TABLE_MAX_N = 10
 
 BitsLike = Union[str, Iterable[int], "BitString"]
 
@@ -176,13 +179,37 @@ def _vt_classes(n: int, k: Optional[int] = None) -> List[List[int]]:
     return classes
 
 
-def _single_deletions(v: int, n: int) -> List[int]:
+def _single_deletions(v: int, n: int) -> Sequence[int]:
     """The distinct words left by deleting one symbol of an n-symbol word.
 
     Deleting any symbol of a run leaves the same word, and deletions from
     different runs leave different words, so there is one result per run:
-    the word without the run's last symbol.
+    the word without the run's last symbol, listed from the last run to
+    the first.
+
+    Up to n = _DELETION_TABLE_MAX_N (10) the row is read from
+    :func:`_deletion_table`, built by the run loop (:func:`_run_deletions`)
+    the first time that length is asked for, so importing the module
+    builds nothing.  Its rows are tuples shared by every caller, so no
+    caller can edit them.  The cap covers the words of the exact solves
+    that finish in well under a second, and keeps the tables small: all
+    lengths up to 10 are 2,047 rows, about 0.25 MB, built in about 3.5 ms,
+    and a cap of 12 would be about 4x that.  Longer words keep the run
+    loop and get a fresh list.
     """
+    if n <= _DELETION_TABLE_MAX_N:
+        return _deletion_table(n)[v]
+    return _run_deletions(v, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _deletion_table(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The :func:`_run_deletions` row of every n-symbol word, indexed by its value."""
+    return tuple(tuple(_run_deletions(v, n)) for v in range(1 << n))
+
+
+def _run_deletions(v: int, n: int) -> List[int]:
+    """:func:`_single_deletions` of an n-symbol word, one loop step per run."""
     out = []
     high = v >> 1
     # bit p is set where a run ends: at the last symbol, or before a change

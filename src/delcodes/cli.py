@@ -54,7 +54,15 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     graph_mod._check_budget(args.budget)  # checked even where no solver reads it
     if args.n > MAX_CONSTRUCT_N:
         raise CapacityError(f"construct limited to n <= {MAX_CONSTRUCT_N}")
-    if args.s != 1 and (args.kind != "weight-partition" or args.solver == "layer"):
+    # each kind refuses the flags it never reads, rather than drop them
+    unread = {"vt": {"--k": args.k, "--solver": args.solver},
+              "layer": {"--residue": args.residue, "--solver": args.solver},
+              "weight-partition": {"--k": args.k}}[args.kind]
+    given = [flag for flag, value in unread.items() if value is not None]
+    if given:
+        raise ValueError(f"--kind {args.kind} takes no {'/'.join(given)}")
+    solver = "layer" if args.solver is None else args.solver
+    if args.s != 1 and (args.kind != "weight-partition" or solver == "layer"):
         flag = "--solver layer" if args.kind == "weight-partition" else f"--kind {args.kind}"
         raise ValueError(f"{flag} corrects one deletion; got --s {args.s}")
     if args.kind == "vt":
@@ -68,11 +76,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:  # weight-partition
         if args.residue is None:
             raise ValueError("--kind weight-partition requires --residue")
-        if args.solver == "exact":
-            solver = make_exact_layer_solver(args.budget)
+        if solver == "exact":
+            layer_solver = make_exact_layer_solver(args.budget)
         else:
-            solver = {"layer": layer_color_solver, "greedy": greedy_layer_solver}[args.solver]
-        code = weight_partition_code(args.n, args.s, args.residue, solver)
+            layer_solver = {"layer": layer_color_solver, "greedy": greedy_layer_solver}[solver]
+        code = weight_partition_code(args.n, args.s, args.residue, layer_solver)
     write_code_file(code, args.out)
     print(f"kind={code.provenance}")
     print(f"n={code.n}")
@@ -249,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--residue", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--solver", choices=["layer", "greedy", "exact"], default="layer")
+    p.add_argument("--solver", choices=["layer", "greedy", "exact"],
+                   help="layer solver for --kind weight-partition (default layer)")
     p.add_argument("--budget", type=int, default=graph_mod.DEFAULT_NODE_BUDGET)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_construct)

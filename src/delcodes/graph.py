@@ -17,9 +17,16 @@ level pass (``_deletion_masks``), from the vertices down to their
 length-(n-s) subsequences, lists each level's single deletions once, one
 per run, and gives every length-(n-s) word the mask of its clique; the
 pass back up ORs each word's listed deletions' masks into it, one
-``reduce`` per word.  On the full graph the levels are lists indexed by
-word value instead, and each level is a few ORs of whole slices of the
-level next to it, with no Python step per word (``_full_deletion_masks``).
+``reduce`` per word.  A word of at most 10 symbols reads its single
+deletions as one row of a per-length table (:mod:`delcodes.bitstring`'s
+``_deletion_table``), built by the run loop the first time its length is
+asked for, not at import.  The rows are tuples shared by every caller,
+so no caller can edit them.  The cap keeps all the tables to 2,047 rows
+(about 0.25 MB; a cap of 12 would be 4x that) and covers the graphs the
+exact solver finishes in well under a second; longer words keep the run
+loop.  On the full graph the levels are lists indexed by word value
+instead, and each level is a few ORs of whole slices of the level next
+to it, with no Python step per word (``_full_deletion_masks``).
 Layers and hand-built vertex sets keep the per-word pass: on lists by
 value each missing word costs as much as a vertex, so the slice pass was
 no faster on most layers and 1.8x slower on L(2,16) layer 8 (2-core

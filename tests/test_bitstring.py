@@ -1,9 +1,13 @@
 """Unit and property tests for the bit-string algebra."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,10 +26,12 @@ from delcodes import (
     lcs_length,
     weight,
 )
-from delcodes import graph as graph_module
+from delcodes import bitstring as bitstring_module, graph as graph_module
 from delcodes.bitstring import (
     _deletion_ball,
     _deletion_ball_bound,
+    _deletion_table,
+    _run_deletions,
     _single_deletions,
     _single_insertions,
     _word_values,
@@ -236,6 +242,48 @@ class TestDeleteAll:
             assert time.perf_counter() - start < 1
         # C(18, 4) = 3,060 on the bound; the listing itself is smaller
         assert len(delete_all(B("01" * 8), 4)) <= 3060
+
+
+class TestDeletionTable:
+    def test_rows_match_run_loop(self):
+        # element for element and in order, for every word up to the cap
+        for n in range(11):
+            table = _deletion_table(n)
+            assert len(table) == 1 << n
+            for v in range(1 << n):
+                assert table[v] == tuple(_run_deletions(v, n)), (n, v)
+                assert _single_deletions(v, n) is table[v]
+
+    def test_long_word_takes_run_loop(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bitstring_module, "_run_deletions",
+                            lambda v, n: calls.append((v, n)) or _run_deletions(v, n))
+        before = _deletion_table.cache_info()
+        v = B("01101110001").value
+        assert _single_deletions(v, 11) == _run_deletions(v, 11)
+        assert calls == [(v, 11)]
+        assert _deletion_table.cache_info() == before
+
+    def test_rows_are_immutable(self):
+        table = _deletion_table(6)
+        assert type(table) is tuple
+        assert all(type(row) is tuple for row in table)
+        row = _single_deletions(B("011010").value, 6)
+        with pytest.raises(TypeError):
+            row[0] = 0
+
+    def test_import_builds_no_table(self):
+        # the table is built on first use, so importing the library costs nothing
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+        script = ("import delcodes, delcodes.cli\n"
+                  "from delcodes.bitstring import _deletion_table\n"
+                  "print(_deletion_table.cache_info().currsize)\n")
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
 
 
 class TestInsertAll:

@@ -112,6 +112,31 @@ class TestConstruct:
         assert err.startswith("error:") and "--s" in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("args, given", [
+        (("--kind", "vt", "--residue", "0", "--k", "3"), "--k"),
+        (("--kind", "vt", "--residue", "0", "--solver", "layer"), "--solver"),
+        (("--kind", "vt", "--residue", "0", "--k", "3", "--solver", "exact"), "--k/--solver"),
+        (("--kind", "layer", "--k", "3", "--residue", "1"), "--residue"),
+        (("--kind", "layer", "--k", "3", "--solver", "greedy"), "--solver"),
+        (("--kind", "weight-partition", "--residue", "0", "--k", "3"), "--k"),
+    ])
+    def test_unread_flags_refused(self, capsys, tmp_path, args, given):
+        # a flag the kind never reads is refused, not silently dropped
+        path = tmp_path / "c.txt"
+        rc, out, err = run(capsys, "construct", "--n", "6", *args, "--out", str(path))
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --kind {args[1]} takes no {given}\n"
+        assert not path.exists()
+
+    def test_weight_partition_solver_defaults_to_layer(self, capsys, tmp_path):
+        paths = [tmp_path / "default.txt", tmp_path / "layer.txt"]
+        for path, solver in zip(paths, [(), ("--solver", "layer")]):
+            rc, _, _ = run(capsys, "construct", "--kind", "weight-partition", "--n", "7",
+                           "--residue", "1", *solver, "--out", str(path))
+            assert rc == 0
+        assert paths[0].read_text() == paths[1].read_text()
+
     def test_budget_exhaustion_exits_1(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "construct", "--kind", "weight-partition", "--n", "9",
