@@ -256,10 +256,12 @@ def _deletion_ball_bound(v: int, n: int, s: int) -> int:
     return math.comb(runs + s - 1, s) if runs else 1
 
 
-def _check_length(n: int) -> None:
-    """Raise CapacityError if a word of n symbols does not fit in a BitString."""
+def _check_length(n: int, source: str = "") -> None:
+    """Raise CapacityError if a word of n symbols does not fit in a BitString,
+    the message led by ``source``, the arguments that set n, where given."""
     if n > MAX_LENGTH:
-        raise CapacityError(f"string length {n} exceeds {MAX_LENGTH}")
+        lead = f"{source}: " if source else ""
+        raise CapacityError(f"{lead}string length {n} exceeds {MAX_LENGTH}")
 
 
 def _check_int(name: str, value: int, low: Optional[int] = None,

@@ -43,14 +43,15 @@ the pairwise-distance definition is exercised by the test suite.
 
 One peel on bit-sliced live degrees (``_peel``) gives the greedy set by
 minimum degree and the degeneracy order of the exact search by maximum
-degree.  Each step sums the rows of its removed vertices with carry-save
-adders, a few whole-mask operations per pair of rows, and subtracts the sum
-from the degrees with one borrow ripple.  A coloring is checked with one
-mask per color class.  A graph built by hand is checked for words of one
-length, each listed once, and for the symmetric, loop-free adjacency all
-three assume, its masks equal to their transpose (``_transpose``, three
-whole-int swaps on 8 x 8 bit tiles, which also give the peel its first
-degree planes).
+degree.  A greedy step sums the rows of its removed vertices with
+carry-save adders, a few whole-mask operations per pair of rows, and
+subtracts the sum from the degrees with one borrow ripple.  A degeneracy
+step removes one vertex, so the ripple subtracts its live row, with no sum.
+A coloring is checked with one mask per color class.  A graph built by
+hand is checked for words of one length, each listed once, and for the
+symmetric, loop-free adjacency all three assume, its masks equal to their
+transpose (``_transpose``, three whole-int swaps on 8 x 8 bit tiles, which
+also give the peel its first degree planes).
 
 The exact solver has two engines, chosen by edge density and size in one
 place (``_route``), which also names the search order and symmetries, as
@@ -62,8 +63,9 @@ engine: its route returns its last vertex, with no search node.  Dense
 graphs, such as every layer for s = 2 up to n = 13, and sparse graphs of
 at most 128 vertices are searched in pure Python as a maximum clique of the
 complement: Tomita et al.'s MCS, with greedy clique-partition bounds and
-the Re-NUMBER step, in the degeneracy order of the complement below edge
-density 3/10 and by ascending degree from it on.  At its root the search
+the Re-NUMBER step where a node has cliques it can only prune, in the
+degeneracy order of the complement below edge density 3/10 and by
+ascending degree from it on.  At its root the search
 branches on one vertex per orbit of the graph's symmetries among word
 reversal and complement that carry the adjacency onto itself: both maps
 are made from the whole word list at once, and each is still checked
@@ -114,10 +116,12 @@ DEFAULT_NODE_BUDGET = 10**8
 # bound is weak and the LP over the supersequence cliques is strong, so they
 # go to HiGHS once they have more than _CLIQUE_SEARCH_MAX_SPARSE_VERTICES
 # vertices.  Up to that size the clique search, in degeneracy order, is
-# faster than HiGHS on each sparse graph with s >= 1 and n <= 16 (up to
-# mirror layers, L(1,7), L(1,9) layer 4 and L(1,10) layer 3: 40-65 ms each
-# against 0.2-0.9 s).  Above it, L(1,11) layer 3 (165 vertices) takes 2.4 s
-# against 0.8 s, and L(1,8) passes 300k nodes against 3.2 s.
+# faster than HiGHS on each sparse graph with s >= 1 and n <= 16.  The
+# slowest, up to mirror layers, are L(1,7), L(1,9) layer 4 and L(1,10)
+# layer 3: about 11, 33 and 12 ms against 1.0, 0.5 and 0.9 s (whole solves,
+# best of 7, on a shared 2-core x86-64 Xeon host under CPython 3.11, whose
+# speed drifts about 1.5x).  Above it, L(1,11) layer 3 (165 vertices) takes
+# 1.0-1.4 s against 0.74 s, and L(1,8) passes 300k nodes against 3.2 s.
 _CLIQUE_SEARCH_MIN_DENSITY = Fraction(1, 5)
 _CLIQUE_SEARCH_MAX_SPARSE_VERTICES = 128
 # Edge density below which the clique search numbers the vertices in the
@@ -269,7 +273,8 @@ def _transpose(rows: Sequence[int], v: int) -> List[int]:
     *Hacker's Delight*, 2nd ed., 7-3).  Then row c & 7 of each tile row holds
     8 bits of column c at byte c >> 3, so a column is one extended slice."""
     wb, tiles = (max(v, 1) + 7) // 8, (len(rows) + 7) // 8  # bytes per row, tile rows
-    x = int.from_bytes(b"".join(r.to_bytes(wb, "little") for r in rows), "little")
+    packed = map(int.to_bytes, rows, itertools.repeat(wb), itertools.repeat("little"))
+    x = int.from_bytes(b"".join(packed), "little")
     for j, byte in ((4, 0xF0), (2, 0xCC), (1, 0xAA)):
         # bits b & j set of the rows r with r & j clear: (r, b) swaps with (r + j, b - j)
         tile = (bytes([byte]) * (j * wb) + bytes(j * wb)) * (4 // j)
@@ -628,16 +633,18 @@ def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
     live neighbors leave with it.  Live degrees are bit-sliced: ``planes[t]``
     masks the vertices whose live degree has bit t set, at first a column of
     the degrees (:func:`_transpose`).  The vertex is found with one AND per
-    plane, top down.  The rows of the leavers are summed into a bit-sliced
-    count one plane at a time: a lone row passes through, the others fold in
-    pairs into the plane's running total, one 3:2 full adder per pair, and
-    the adders' carries are the next plane's rows.  So a step costs a few
-    mask operations per leaver and per plane, not one per vertex whose
-    degree changes.  Each finished count plane is masked to the live
-    vertices once, and one borrow ripple, cut off once the borrow dies,
-    subtracts the count from the planes.  The step that leaves no vertex
-    alive makes no sum.  Degrees count rows and the count columns, so
-    adjacency must be symmetric.
+    plane, top down.  Without ``fewest`` it leaves alone: each live
+    neighbor's degree drops by one, so its row, masked to the live vertices,
+    is the borrow into plane 0 of one ripple, cut off once the borrow dies.
+    With ``fewest`` the rows of the leavers are summed into a bit-sliced count
+    one plane at a time: a lone row passes through, the others fold in pairs
+    into the plane's running total, one 3:2 full adder per pair, and the
+    adders' carries are the next plane's rows.  So a step costs a few mask
+    operations per leaver and per plane, not one per vertex whose degree
+    changes.  Each finished count plane is masked to the live vertices once,
+    and the same ripple subtracts the count from the planes.  The step that
+    leaves no vertex alive makes no sum.  Degrees count rows and the count
+    columns, so adjacency must be symmetric.
     """
     degrees = [mask.bit_count() for mask in adjacency]
     planes = _transpose(degrees, max(degrees, default=0).bit_length())
@@ -650,29 +657,35 @@ def _peel(adjacency: Sequence[int], fewest: bool) -> List[int]:
             if narrowed:
                 pick = narrowed
         low = pick & -pick
-        taken.append(low.bit_length() - 1)
-        leavers = adjacency[taken[-1]] & alive | low if fewest else low
-        alive ^= leavers
-        if not alive:
-            break
-        # the addends of count plane t; a count is at most a degree, so the planes hold it
-        rows, borrow, t = [adjacency[j] for j in _iter_bits(leavers)], 0, 0
-        while rows:
-            it = iter(rows)
-            total = next(it) if len(rows) & 1 else 0
-            rows = []
-            for a, b in zip(it, it):
-                x = a ^ b
-                carry = a & b | total & x
-                total ^= x
-                if carry:
-                    rows.append(carry)
-            c = total & alive
-            if c | borrow:
-                plane = planes[t]
-                planes[t] = plane ^ c ^ borrow
-                borrow = ~plane & (c | borrow) | c & borrow
-            t += 1
+        p = low.bit_length() - 1
+        taken.append(p)
+        if fewest:
+            leavers = adjacency[p] & alive | low
+            alive ^= leavers
+            if not alive:
+                break
+            # the addends of count plane t; a count is at most a degree, so the planes hold it
+            rows, borrow, t = [adjacency[j] for j in _iter_bits(leavers)], 0, 0
+            while rows:
+                it = iter(rows)
+                total = next(it) if len(rows) & 1 else 0
+                rows = []
+                for a, b in zip(it, it):
+                    x = a ^ b
+                    carry = a & b | total & x
+                    total ^= x
+                    if carry:
+                        rows.append(carry)
+                c = total & alive
+                if c | borrow:
+                    plane = planes[t]
+                    planes[t] = plane ^ c ^ borrow
+                    borrow = ~plane & (c | borrow) | c & borrow
+                t += 1
+        else:
+            alive ^= low
+            # one row: each live neighbor's degree drops by one, a borrow into plane 0
+            borrow, t = adjacency[p] & alive, 0
         while borrow:
             plane = planes[t]
             planes[t] = plane ^ borrow
@@ -697,7 +710,9 @@ def _clique_search_mis(adjacency: Sequence[int], order: Sequence[int],
     size), the first k cliques of a node can only be pruned.  MCS's
     Re-NUMBER step moves each later vertex into one of them where it can,
     directly or by moving its one non-neighbor there into a later one of
-    the k, so fewer vertices are branched on.
+    the k, so fewer vertices are branched on.  Where k <= 0, at the root,
+    down the first descent and wherever the set has reached the
+    incumbent's size, there is no such clique, and the step is skipped.
 
     ``symmetries`` are permutations of the vertex positions (i maps to
     perm[i]) that carry the adjacency onto itself, commuting involutions
@@ -752,8 +767,9 @@ def _clique_search_mis(adjacency: Sequence[int], order: Sequence[int],
         while rest and len(cliques) < k:
             cliques.append(clique_from(rest))
             rest ^= cliques[-1]
-        # Re-NUMBER: move each later vertex into one of the first k cliques.
-        for p in _iter_bits(rest):
+        # Re-NUMBER: move each later vertex into one of the first k cliques,
+        # if there are any
+        for p in _iter_bits(rest if cliques else 0):
             for c1, clique in enumerate(cliques):
                 clash = clique & apart[p]  # p's non-neighbors in clique c1
                 if clash & (clash - 1):
@@ -895,7 +911,7 @@ def segment_clique(l: int, k: int, b: int, c: int) -> CliqueWitness:
     if b + c > k:
         raise ValueError(f"require b + c <= k, got k={k}, b={b}, c={c}")
     m = k * (l + 3) - 3
-    _check_length(max(m, m + b - c))
+    _check_length(max(m, m + b - c), f"l={l}, k={k}, b={b}, c={c}")
     _refuse_over_cap(_segment_clique_size(l, k, b, c), "segment cliques")
 
     def packed(runs: Iterable[int], symbol: int) -> int:
@@ -962,7 +978,7 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
     _check_int("s", s, 1)
     _check_int("cycle_len", cycle_len, 3)
     n = (cycle_len - 2) * s + 1
-    _check_length(n)
+    _check_length(n, f"s={s}, cycle_len={cycle_len}")
     xs = [
         BitString("0" * (s * i) + "1" * (s + 1) + "0" * (s * (cycle_len - 3 - i)))
         for i in range(cycle_len - 2)
@@ -973,8 +989,12 @@ def induced_cycle(s: int, cycle_len: int) -> List[BitString]:
 
 
 def imperfectness_witness(s: int, n: int) -> List[BitString]:
-    """Five length-n words, n >= 3s + 1, inducing a chordless 5-cycle for s deletions."""
-    cycle = induced_cycle(s, 5)  # checks s >= 1
+    """Five length-n words, n >= 3s + 1, inducing a chordless 5-cycle for s deletions.
+
+    n is checked before the cycle is made, so a cap error names n, not the
+    cycle's own 3s + 1 symbols."""
+    _check_int("s", s, 1)
     _check_int("n", n, 3 * s + 1)
-    _check_length(n)
+    _check_length(n, f"n={n}")
+    cycle = induced_cycle(s, 5)  # fits: 3s + 1 <= n
     return [BitString("0" * (n - 3 * s - 1)) + v for v in cycle]

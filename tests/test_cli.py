@@ -622,6 +622,13 @@ class TestWitness:
           "--c", "1"], 2, "", "error: --kind imperfect takes no --k/--l/--segments/--b/--c\n"),
         (["cycle", "--s", "1", "--cycle-len", "5"], 0,
          "# kind=cycle s=1 n=4\n1100\n0110\n0011\n0001\n1000\n", ""),
+        # a witness too long for a word names the arguments that set its length
+        (["cycle", "--s", "1", "--cycle-len", "99"], 2, "",
+         "error: s=1, cycle_len=99: string length 98 exceeds 63\n"),
+        (["imperfect", "--s", "30", "--n", "95"], 2, "",
+         "error: n=95: string length 95 exceeds 63\n"),
+        (["clique", "--l", "70", "--segments", "1", "--b", "1", "--c", "0"], 2, "",
+         "error: l=70, k=1, b=1, c=0: string length 71 exceeds 63\n"),
     ], ids=["substring", "substring-s2", "layer-substring", "segment-b", "segment-c",
             "segment-ignores-s", "cycle-s2", "imperfect-n4", "empty-z-s0", "empty-z-s2",
             "no-shape", "segment-with-k", "z-with-l", "z-with-segment-flags",
@@ -629,7 +636,8 @@ class TestWitness:
             "length-cap", "z-length-cap", "layer-size-cap", "unreachable-layer",
             "cycle-with-clique-flags", "cycle-with-n", "cycle-with-empty-z",
             "imperfect-with-cycle-len", "imperfect-with-default-cycle-len",
-            "imperfect-with-segment-flags", "cycle-default-len-given"])
+            "imperfect-with-segment-flags", "cycle-default-len-given", "cycle-length-cap",
+            "imperfect-length-cap", "segment-length-cap"])
     def test_output_pinned(self, capsys, argv, rc, out, err):
         # exit code, stdout and stderr, byte for byte
         assert run(capsys, "witness", "--kind", *argv) == (rc, out, err)

@@ -200,6 +200,26 @@ def test_non_integer_size_or_word_is_type_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: induced_cycle(1, 99), "s=1, cycle_len=99: string length 98"),
+    (lambda: imperfectness_witness(30, 95), "n=95: string length 95"),
+    (lambda: imperfectness_witness(1, 64), "n=64: string length 64"),
+    (lambda: segment_clique(70, 1, 1, 0), "l=70, k=1, b=1, c=0: string length 71"),
+    # the center, with c shortened segments, is the longer word
+    (lambda: segment_clique(4, 10, 0, 5), "l=4, k=10, b=0, c=5: string length 67"),
+], ids=["induced_cycle", "imperfectness_witness-s-and-n", "imperfectness_witness-n",
+        "segment_clique-members", "segment_clique-center"])
+def test_witness_length_cap_names_arguments(call, message):
+    # the arguments that set a witness's word length lead the cap error
+    with pytest.raises(CapacityError, match=f"^{message} exceeds 63$"):
+        call()
+
+
+def test_witness_at_length_cap_is_made():
+    assert {len(x) for x in induced_cycle(31, 4)} == {63}
+    assert {len(x) for x in imperfectness_witness(20, 63)} == {63}
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: induced_cycle(True, 5), "s"),
     (lambda: induced_cycle(1, 5.0), "cycle_len"),

@@ -932,6 +932,40 @@ class TestExactMis:
         with pytest.raises(BudgetExceededError):
             exact_mis(g, budget - 1)
 
+    # Every graph the alpha-exact benchmark deck (perfbench/workloads.py)
+    # hands the clique search, with the exact node count of its proof and α:
+    # the full L(1, n) for n <= 7, both choices of each layer slot, and the
+    # partition codes' layers, each solved as min(k, n - k), warm-up jobs
+    # included.  The deck's other graphs are complete and take no search node.
+    DECK_LAYERS = ((1, 7, (3, 4)), (1, 8, (3, 5)), (1, 8, (4,)), (1, 9, (3, 6)),
+                   (2, 6, (3,)), (2, 7, (3, 4)), (2, 8, (3, 5)), (2, 8, (4,)), (2, 9, (3, 6)),
+                   (3, 8, (4,)), (3, 9, (3, 6)), (3, 9, (4, 5)))
+    DECK_PARTITIONS = ((1, 5), (1, 6), (1, 7), (1, 8), (2, 6), (2, 7), (2, 8), (3, 7), (3, 8))
+    DECK_PROOFS = {
+        (1, 2, None): (2, 2), (1, 3, None): (2, 2), (1, 4, None): (4, 4),
+        (1, 5, None): (6, 6), (1, 6, None): (15, 10), (1, 7, None): (736, 16),
+        (1, 5, 2): (5, 3), (1, 6, 2): (4, 4), (1, 6, 3): (5, 5), (1, 7, 2): (10, 4),
+        (1, 7, 3): (29, 7), (1, 7, 4): (28, 7), (1, 8, 2): (9, 5), (1, 8, 3): (55, 10),
+        (1, 8, 4): (37, 14), (1, 8, 5): (101, 10), (1, 9, 3): (212, 13), (1, 9, 6): (215, 13),
+        (2, 6, 3): (2, 2), (2, 7, 3): (4, 3), (2, 7, 4): (4, 3), (2, 8, 3): (11, 3),
+        (2, 8, 4): (5, 4), (2, 8, 5): (11, 3), (2, 9, 3): (12, 4), (2, 9, 6): (12, 4),
+        (3, 8, 4): (2, 2), (3, 9, 4): (8, 3), (3, 9, 5): (8, 3),
+    }
+
+    def test_deck_proofs_pinned(self):
+        # each count is exact: the solve finishes within it and runs out one below
+        deck = {(1, n, None) for n in range(1, 8)}
+        deck |= {(s, n, k) for s, n, ks in self.DECK_LAYERS for k in ks}
+        deck |= {(s, n, min(k, n - k)) for s, n in self.DECK_PARTITIONS for k in range(n + 1)}
+        searched = {key for key in deck if _route(G(*key))[0]["engine"] == "clique-search"}
+        assert searched == set(self.DECK_PROOFS)
+        for key, (nodes, size) in self.DECK_PROOFS.items():
+            g = G(*key)
+            out = exact_mis(g, nodes)
+            assert len(out) == size and verify_independent(g, out), key
+            with pytest.raises(BudgetExceededError):
+                exact_mis(g, nodes - 1)
+
     def test_large_alpha_needs_no_deep_stack(self):
         # the search keeps its path on a list, not in nested calls, so an
         # alpha far past Python's recursion limit is solved
